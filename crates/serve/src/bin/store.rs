@@ -32,10 +32,13 @@
 //! (one `[ckpt] key=... epoch=... bytes=...` line per segment plus a
 //! summary), and `ckpt --rm KEY` deletes the trail of one run.
 //!
-//! `verify` is read-only: it decodes every entry (file mode) or re-scans
-//! the manifest and every WAL segment from disk (WAL mode), prints one
-//! line per problem and a summary, and exits 1 if anything is damaged —
-//! the CI gate for "the store on disk is byte-for-byte sound".
+//! `verify` decodes every entry (file mode) or re-scans the manifest and
+//! every WAL segment from disk (WAL mode), prints one line per problem
+//! and a summary, and exits 1 if anything is damaged — the CI gate for
+//! "the store on disk is byte-for-byte sound". File mode is read-only.
+//! In WAL mode, opening the store heals what replay finds first; that
+//! damage (e.g. segments written by an older build, whose frames no
+//! longer decode) is reported as a `healed on open:` problem.
 //!
 //! `compact` (WAL mode only) rewrites the live records into fresh
 //! segments and retires the old ones; replay-proof ordering makes it
@@ -124,7 +127,17 @@ fn main() {
             );
         }
         "verify" => {
-            let report = open(&dir, mode).verify();
+            let store = open(&dir, mode);
+            let mut report = store.verify();
+            // Opening a WAL store heals what replay finds (quarantined
+            // remainders, torn tails, a rebuilt manifest) before the scan
+            // runs, so report that damage here instead of losing it.
+            if let Some(replay) = store
+                .replay_report()
+                .filter(|r| r.quarantined > 0 || r.torn_truncated > 0 || r.manifest_rebuilt)
+            {
+                report.errors.insert(0, format!("healed on open: {replay}"));
+            }
             for err in &report.errors {
                 eprintln!("[verify] problem: {err}");
             }

@@ -252,12 +252,23 @@ fn stale_queued_jobs_expire_with_a_classified_state() {
     let handle = std::thread::spawn(move || server.run());
     let client = patient(addr);
 
-    let mut jobs = Vec::new();
-    for wl in ["lbm", "mcf", "milc", "astar"] {
-        let submit = client.submit(wl, "profile", "").unwrap();
-        assert_eq!(submit.status, 202, "{wl}");
-        jobs.push(submit.job.unwrap());
-    }
+    // One batch enqueues all four jobs back to back, so three of them
+    // queue behind the first at any build profile. Four single submits
+    // would race the worker: an optimized build can finish each job
+    // before the next `POST /runs` arrives, leaving nothing to expire.
+    let specs: Vec<(String, String, String)> = ["lbm", "mcf", "milc", "astar"]
+        .iter()
+        .map(|wl| (wl.to_string(), "profile".to_string(), String::new()))
+        .collect();
+    let jobs: Vec<u64> = client
+        .submit_batch(&specs)
+        .unwrap()
+        .into_iter()
+        .map(|submit| {
+            assert_eq!(submit.state, "queued", "{:?}", submit.fields);
+            submit.job.unwrap()
+        })
+        .collect();
     let mut expired = 0usize;
     let mut completed = 0usize;
     for job in jobs {

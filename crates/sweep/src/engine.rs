@@ -22,7 +22,7 @@ use ramp_serve::client::Client;
 use ramp_serve::spec::{RunAction, RunSpec};
 use ramp_serve::store::{RunKind, RunStore};
 use ramp_sim::chaos::{self, Chaos};
-use ramp_sim::exec::{try_parallel_map, TaskOptions};
+use ramp_sim::exec::{parallel_map, try_parallel_map, TaskOptions};
 
 use crate::pareto::{self, Objective};
 use crate::spec::{Strategy, SweepPoint, SweepSpec};
@@ -271,22 +271,26 @@ fn execute_points(
     chaos: Option<Arc<Chaos>>,
     counters: &mut SweepCounters,
 ) -> Result<Vec<PointRow>, String> {
-    let mut rows: Vec<Option<PointRow>> = vec![None; points.len()];
-    let mut pending: Vec<(usize, &SweepPoint)> = Vec::new();
-    for (i, point) in points.iter().enumerate() {
-        let key = point.key();
-        let cached = store.and_then(|s| match point.spec.kind() {
-            RunKind::Annotated => s.load_annotated(&key).map(|(run, _)| run),
-            _ => s.load_run(&key),
-        });
-        match cached {
-            Some(run) => {
-                counters.cached += 1;
-                rows[i] = Some(PointRow::from_run(point, key, &run));
-            }
-            None => pending.push((i, point)),
-        }
-    }
+    // Warm lookups fan out across the sweep's threads. A worker turns each
+    // decoded entry into its row before taking the next point, so no more
+    // than one decoded entry per worker is alive at a time.
+    let mut rows: Vec<Option<PointRow>> = match store {
+        Some(s) => parallel_map(threads, points.iter().collect(), |_, point| {
+            let key = point.key();
+            let run = match point.spec.kind() {
+                RunKind::Annotated => s.load_annotated(&key).map(|(run, _)| run),
+                _ => s.load_run(&key),
+            }?;
+            Some(PointRow::from_run(point, key, &run))
+        }),
+        None => vec![None; points.len()],
+    };
+    let pending: Vec<(usize, &SweepPoint)> = points
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| rows[*i].is_none())
+        .collect();
+    counters.cached += (points.len() - pending.len()) as u64;
 
     let opts = TaskOptions {
         retries: chaos.as_ref().map_or(0, |c| c.retries()),

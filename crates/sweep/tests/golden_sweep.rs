@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 
 use ramp_serve::json::parse_flat;
 use ramp_serve::store::RunStore;
-use ramp_sweep::engine::run_local_with;
+use ramp_sweep::engine::{run_local, run_local_with};
 use ramp_sweep::{artifact, SweepSpec};
 
 const GOLDEN_PATH: &str = "tests/golden/sweep_artifact.json";
@@ -40,8 +40,8 @@ fn golden_file() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH)
 }
 
-fn scratch_store() -> (PathBuf, RunStore) {
-    let dir = std::env::temp_dir().join(format!("ramp-sweep-golden-{}", std::process::id()));
+fn scratch_store(tag: &str) -> (PathBuf, RunStore) {
+    let dir = std::env::temp_dir().join(format!("ramp-sweep-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     (dir.clone(), RunStore::open(dir).unwrap())
 }
@@ -50,7 +50,7 @@ fn scratch_store() -> (PathBuf, RunStore) {
 fn pinned_sweep_matches_golden_artifact() {
     let spec = SweepSpec::parse(SPEC).expect("pinned spec parses");
     assert_eq!(spec.grid_len(), 6);
-    let (dir, store) = scratch_store();
+    let (dir, store) = scratch_store("golden");
     let run = run_local_with(&spec, Some(&store), 1, None).unwrap();
     let rendered = artifact::render(&spec, &run);
     drop(store);
@@ -104,4 +104,28 @@ fn pinned_sweep_matches_golden_artifact() {
         "sweep artifact drifted from {GOLDEN_PATH}; if intentional, re-bless \
          (RAMP_BLESS=1) and bump artifact::SCHEMA on layout changes"
     );
+}
+
+/// Warm lookups fan out across the sweep's threads; the rows must still
+/// come back in point order, so a warm sweep at any thread count renders
+/// the cold artifact byte for byte without simulating anything.
+#[test]
+fn warm_sweeps_render_the_cold_artifact_at_any_thread_count() {
+    let spec = SweepSpec::parse(SPEC).expect("pinned spec parses");
+    let points = spec.grid_len() as u64;
+    let (dir, store) = scratch_store("warm-threads");
+    let cold = artifact::render(&spec, &run_local(&spec, Some(&store), 1).unwrap());
+    for threads in [1, 4] {
+        let warm = run_local(&spec, Some(&store), threads).unwrap();
+        assert_eq!(warm.counters.cached, points, "threads {threads}");
+        assert_eq!(warm.counters.simulated, 0, "threads {threads}");
+        assert_eq!(warm.counters.profile_sims, 0, "threads {threads}");
+        assert_eq!(
+            artifact::render(&spec, &warm),
+            cold,
+            "warm artifact at {threads} threads differs from the cold one"
+        );
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }

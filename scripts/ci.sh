@@ -84,12 +84,13 @@ wal_smoke_stage() {
 }
 # Sweep gate (`sweep-smoke`, also part of the full pipeline): the pinned
 # 64-point examples/sweep_frontier.toml grid must produce byte-identical
-# artifacts at 1 and 4 threads from fresh stores, and a warm re-sweep
-# against the populated store must perform zero simulations — asserted
+# artifacts at 1 and 4 threads from fresh stores, and warm re-sweeps at
+# 4 and 1 threads against the populated store must perform zero
+# simulations and reproduce the cold artifact byte for byte — asserted
 # both from the sweep's own `[sweep]` summary line and from the store's
 # run count staying put (see DESIGN.md §12).
 sweep_smoke_stage() {
-    local dir before after
+    local dir before after threads
     dir="$(mktemp -d)"
     # shellcheck disable=SC2064
     trap "rm -rf '$dir'" RETURN
@@ -105,14 +106,16 @@ sweep_smoke_stage() {
     grep -qE '^\[sweep\] points=64 ' "$dir/t1.out" \
         || { echo "FAIL: sweep did not evaluate the pinned 64 points"; exit 1; }
 
-    echo "==> sweep-smoke: warm re-sweep performs zero simulations"
     before="$(target/release/ramp-store stats --dir "$dir/store1" | grep -oE ' runs=[0-9]+')"
-    RAMP_STORE_DIR="$dir/store1" RAMP_THREADS=4 target/release/ramp-sweep \
-        run examples/sweep_frontier.toml --out "$dir/warm.json" > "$dir/warm.out"
-    grep -qE ' cached=64 simulated=0 profile_sims=0 ' "$dir/warm.out" \
-        || { echo "FAIL: warm re-sweep simulated instead of hitting the store"; exit 1; }
-    cmp "$dir/t1.json" "$dir/warm.json" \
-        || { echo "FAIL: warm sweep artifact differs from cold artifact"; exit 1; }
+    for threads in 4 1; do
+        echo "==> sweep-smoke: warm re-sweep @ RAMP_THREADS=$threads performs zero simulations"
+        RAMP_STORE_DIR="$dir/store1" RAMP_THREADS=$threads target/release/ramp-sweep \
+            run examples/sweep_frontier.toml --out "$dir/warm$threads.json" > "$dir/warm$threads.out"
+        grep -qE ' cached=64 simulated=0 profile_sims=0 ' "$dir/warm$threads.out" \
+            || { echo "FAIL: warm re-sweep simulated instead of hitting the store"; exit 1; }
+        cmp "$dir/t1.json" "$dir/warm$threads.json" \
+            || { echo "FAIL: warm sweep artifact differs from cold artifact"; exit 1; }
+    done
     after="$(target/release/ramp-store stats --dir "$dir/store1" | grep -oE ' runs=[0-9]+')"
     [ "$before" = "$after" ] \
         || { echo "FAIL: warm re-sweep grew the store ($before -> $after)"; exit 1; }

@@ -1,11 +1,15 @@
 //! Property-based tests over the core data structures and invariants
 //! (in-tree `ramp::sim::check` harness): ECC algebra, AVF bounds,
 //! page-map consistency, MEA's frequent-element guarantee,
-//! trace-generator containment and telemetry invariants (histogram
-//! conservation, epoch monotonicity, merge/sequential equivalence).
+//! trace-generator containment, telemetry invariants (histogram
+//! conservation, epoch monotonicity, merge/sequential equivalence) and
+//! the store's frame and wire decoders under hostile bytes.
 //!
 //! Each property runs 256 deterministic cases; on failure the harness
 //! prints the case's seed so `RAMP_PROP_SEED=<seed>` replays it alone.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use ramp::avf::AvfTracker;
 use ramp::core::{MeaTracker, PageMap};
@@ -15,6 +19,58 @@ use ramp::faultsim::{ChipKill, ErrorClass, Hsiao7264};
 use ramp::sim::check::check;
 use ramp::sim::units::{AccessKind, Cycle, PageId, LINES_PER_PAGE};
 use ramp::trace::{Benchmark, InstanceGen};
+
+/// Forwards to the system allocator, recording the largest single
+/// allocation each thread requests so a decoder property can bound it.
+struct PeakAlloc;
+
+thread_local! {
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // `try_with`: allocations during thread teardown are not recorded.
+    let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping touches only
+// a const-initialised thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Runs `f` and asserts that none of the allocations it made on this
+/// thread was larger than `limit` bytes.
+fn assert_allocs_within(limit: usize, what: &str, f: impl FnOnce()) {
+    LARGEST_ALLOC.with(|m| m.set(0));
+    f();
+    let largest = LARGEST_ALLOC.with(Cell::get);
+    assert!(
+        largest <= limit,
+        "{what}: a {largest}-byte allocation, limit {limit}"
+    );
+}
 
 /// Hsiao (72,64): encode/decode round-trips for arbitrary data words.
 #[test]
@@ -305,6 +361,138 @@ fn pearson_properties() {
             assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "rho {}", r);
             let r2 = ramp::sim::stats::pearson(&ys, &xs).unwrap();
             assert!((r - r2).abs() < 1e-9);
+        }
+    });
+}
+
+fn gen_run(g: &mut ramp::sim::check::Gen) -> ramp::core::system::RunResult {
+    use ramp::avf::{PageStats, StatsTable};
+    use ramp::sim::telemetry::{BinHistogram, Snapshot, Stat};
+    let pages = g.vec(0, 12, |g| PageStats {
+        page: PageId(g.u64_below(1 << 40)),
+        reads: g.u64_below(1 << 32),
+        writes: g.u64_below(1 << 32),
+        ace_hbm: g.u64(),
+        ace_ddr: g.u64(),
+        avf: g.f64_in(0.0, 1.0),
+    });
+    let mut telemetry = Snapshot::default();
+    for s in 0..g.usize_in(0, 4) {
+        for n in 0..g.usize_in(1, 4) {
+            let stat = match g.u64_below(3) {
+                0 => Stat::Counter(g.u64()),
+                1 => Stat::Gauge(g.f64_in(-1e9, 1e9)),
+                _ => Stat::Histogram(BinHistogram::new(0.0, 100.0, g.usize_in(1, 12))),
+            };
+            telemetry.insert(format!("scope{s}"), format!("stat{n}"), stat);
+        }
+    }
+    ramp::core::system::RunResult {
+        workload: (*g.pick(&["lbm", "mix1", ""])).to_string(),
+        policy: (*g.pick(&["profile", "frac-hottest-0.50"])).to_string(),
+        ipc: g.f64_in(0.0, 16.0),
+        per_core_ipc: g.vec(0, 16, |g| g.f64_in(0.0, 4.0)),
+        ser_fit: g.f64_in(0.0, 1e6),
+        ser_ddr_only_fit: g.f64_in(1e-9, 1e4),
+        cycles: g.u64(),
+        instructions: g.u64(),
+        mpki: g.f64_in(0.0, 500.0),
+        hbm_accesses: g.u64(),
+        ddr_accesses: g.u64(),
+        migrations: g.u64(),
+        mean_read_latency: (g.f64_in(0.0, 1e4), g.f64_in(0.0, 1e4)),
+        table: StatsTable::from_stats(pages, g.u64()),
+        telemetry,
+    }
+}
+
+/// Runs every frame and wire decoder on `bytes`: each must return `Ok`
+/// or a typed `CodecError` (a panic fails the case with its replay
+/// seed), and no single allocation may outgrow the input — at most 4
+/// bytes per input byte (an annotated entry's structure list holds
+/// 32-byte elements whose shortest encoding is 8 bytes) plus 4 KiB for
+/// fixed-size B-tree nodes. So a corrupt length never sizes an
+/// allocation.
+fn assert_decodes_cleanly(bytes: &[u8]) {
+    use ramp::serve::wire::{self, KIND_ANNOTATED, KIND_RUN, WIRE_VERSION};
+    use ramp::sim::codec::{decode_framed, decode_framed_prefix};
+
+    // The decoded values are dropped inside the measured calls.
+    let limit = 4 * bytes.len() + 4096;
+    assert_allocs_within(limit, "decode_framed", || {
+        let _ = decode_framed(bytes, KIND_RUN, WIRE_VERSION);
+    });
+    assert_allocs_within(limit, "decode_framed_prefix", || {
+        let _ = decode_framed_prefix(bytes, KIND_ANNOTATED, WIRE_VERSION);
+    });
+    assert_allocs_within(limit, "decode_run", || {
+        let _ = wire::decode_run(bytes);
+    });
+    assert_allocs_within(limit, "decode_annotated", || {
+        let _ = wire::decode_annotated(bytes);
+    });
+}
+
+/// Store frames and wire entries under hostile bytes. Each case builds
+/// a real run or annotated entry, then decodes (1) random bytes or the
+/// entry with overwritten bytes, a cut or an extension, re-framed half
+/// the time so the mutated payload passes the checksum and reaches the
+/// wire parser, and (2) the entry re-framed with one hostile count — a
+/// `u32` no larger than the payload — written at every fourth offset
+/// from a random start, so every length field of the payload meets
+/// plausible but wrong claims across the cases.
+#[test]
+fn hostile_frames_decode_cleanly_within_input_sized_allocations() {
+    use ramp::core::annotate::AnnotationSet;
+    use ramp::serve::wire::{self, KIND_ANNOTATED, KIND_RUN, WIRE_VERSION};
+    use ramp::sim::codec::{decode_framed, encode_framed};
+
+    check("hostile_frames_decode_cleanly", |g| {
+        let run = gen_run(g);
+        let (kind, entry) = if g.bool() {
+            (KIND_RUN, wire::encode_run(&run))
+        } else {
+            let set = AnnotationSet {
+                structures: g.vec(0, 6, |g| {
+                    (*g.pick(&Benchmark::ALL), format!("s{}", g.u64_below(1000)))
+                }),
+                pinned: g
+                    .vec(0, 16, |g| PageId(g.u64_below(1 << 40)))
+                    .into_iter()
+                    .collect(),
+            };
+            (KIND_ANNOTATED, wire::encode_annotated(&run, &set))
+        };
+
+        let mut bytes = if g.u64_below(4) == 0 {
+            g.vec(0, 600, |g| g.u8_in_inclusive(0, 255))
+        } else {
+            entry.clone()
+        };
+        for _ in 0..g.usize_in(0, 6) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = g.usize_in(0, bytes.len());
+            bytes[at] = g.u8_in_inclusive(0, 255);
+        }
+        match g.u64_below(4) {
+            0 => bytes.truncate(g.usize_in(0, bytes.len() + 1)),
+            1 => bytes.extend(g.vec(1, 16, |g| g.u8_in_inclusive(0, 255))),
+            _ => {}
+        }
+        // Header: 8 magic + 4 version + 1 kind + 8 length; trailer: 8.
+        if bytes.len() >= 29 && g.bool() {
+            bytes = encode_framed(kind, WIRE_VERSION, &bytes[21..bytes.len() - 8]);
+        }
+        assert_decodes_cleanly(&bytes);
+
+        let payload = decode_framed(&entry, kind, WIRE_VERSION).unwrap();
+        let claim = g.u64_below(payload.len() as u64 + 1) as u32;
+        for at in (g.usize_in(0, 4)..payload.len().saturating_sub(3)).step_by(4) {
+            let mut hostile = payload.to_vec();
+            hostile[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+            assert_decodes_cleanly(&encode_framed(kind, WIRE_VERSION, &hostile));
         }
     });
 }
