@@ -23,7 +23,6 @@
 //! [`ClientError`] values, never bare strings or panics.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,7 +31,7 @@ use std::time::{Duration, Instant};
 use ramp_sim::codec::fnv1a64;
 use ramp_sim::rng::mix64;
 
-use crate::http::{read_response_full, HttpResponse};
+use crate::http::{read_response_full, write_request, HttpResponse};
 use crate::json::{parse_flat, ObjWriter};
 
 /// Default per-request socket timeout.
@@ -348,6 +347,7 @@ impl Client {
             TcpStream::connect(addr).map_err(|e| (true, format!("connect {addr}: {e}")))?;
         let _ = stream.set_read_timeout(Some(self.timeout));
         let _ = stream.set_write_timeout(Some(self.timeout));
+        let _ = stream.set_nodelay(true);
         let resp = Self::exchange(&mut stream, addr, method, path, body).map_err(|e| (false, e))?;
         self.repool(stream, addr, 1, &resp);
         let retry_after = resp.retry_after_secs();
@@ -362,15 +362,9 @@ impl Client {
         path: &str,
         body: &str,
     ) -> Result<HttpResponse, String> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-            body.len()
-        );
-        stream
-            .write_all(head.as_bytes())
-            .and_then(|_| stream.write_all(body.as_bytes()))
+        write_request(stream, addr, method, path, body)
             .map_err(|e| format!("send request: {e}"))?;
-        read_response_full(stream)
+        read_response_full(stream).map_err(|e| e.to_string())
     }
 
     /// Keeps the connection for the next request if the server left it
@@ -763,7 +757,7 @@ mod tests {
             let (mut s, _) = listener.accept().unwrap();
             let req = crate::http::read_request(&mut s).unwrap();
             assert_eq!(req.path, "/health");
-            crate::http::write_response(&mut s, 200, "{\"ok\":true}").unwrap();
+            crate::http::write_response_keep(&mut s, 200, &[], "{\"ok\":true}", false).unwrap();
         });
         let client = Client::new(dead)
             .with_fallbacks(vec![live.clone()])

@@ -2,11 +2,29 @@
 //!
 //! Just enough protocol for the experiment server and the shard router:
 //! request line + headers + `Content-Length`-delimited bodies, hard
-//! size limits on every dimension an untrusted peer controls (header
-//! bytes, header count, line length, body bytes — oversized input is
-//! rejected with `431`/`400` instead of allocated), HTTP/1.1 keep-alive
-//! with an explicit `Connection:` header on every response, and a small
-//! table of status codes.
+//! size limits on every dimension a peer controls (header bytes, header
+//! count, line length, body bytes — oversized input is rejected with a
+//! typed [`RequestError`] instead of allocated, and a server answers it
+//! `431`/`400`), HTTP/1.1 keep-alive with an explicit `Connection:`
+//! header on every response, and a small table of status codes. The
+//! same bounds hold in both directions: the router reads its shards'
+//! replies with [`read_response_full`], so a broken or hostile shard
+//! costs a failover, never an unbounded allocation.
+//!
+//! **One write per message, `TCP_NODELAY` on every socket.** Each
+//! message leaves in a single `write_all` ([`write_request`],
+//! [`write_response_keep`]), and every accepted and dialled stream has
+//! Nagle's algorithm turned off. Both matter on a reused keep-alive
+//! connection. Written as two segments, head then body, Nagle holds
+//! the body until the head is acknowledged, and the peer — which has
+//! nothing to send back until it has the whole message — delays that
+//! ACK (40 ms on Linux), so every exchange after a connection's first
+//! stalls for the delayed-ACK timer. A fresh connection hides the
+//! stall because its receiver acknowledges at once while in quick-ACK
+//! mode. One write fixes every message that fits in one segment;
+//! `TCP_NODELAY` also covers bodies that span several (a large
+//! `/stats` or batch reply), whose last partial segment Nagle would
+//! otherwise hold the same way.
 //!
 //! [`serve_pooled`] is the shared listener front end: a bounded queue of
 //! accepted connections drained by a fixed pool of handler threads, each
@@ -30,12 +48,21 @@ use std::time::Duration;
 use crate::json::error_body;
 use crate::queue::BoundedQueue;
 
-/// Maximum bytes of request line + headers.
+/// Maximum bytes of a start line + headers, in either direction.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Maximum bytes of request body.
 pub const MAX_BODY_BYTES: usize = 64 * 1024;
-/// Maximum number of request headers.
+/// Maximum bytes of response body. The largest legitimate reply is a
+/// `/submit-batch` answer of [`crate::server::MAX_BATCH`] cached run
+/// summaries: 132,361 bytes at pessimistic field widths, and a server
+/// unit test keeps it under a quarter of this bound. A `/stats` reply
+/// is about 1 KiB plus 0.5 KiB per shard behind a router.
+pub const MAX_RESPONSE_BODY_BYTES: usize = 1024 * 1024;
+/// Maximum number of headers, in either direction.
 pub const MAX_HEADER_COUNT: usize = 64;
+/// Read buffer per message. A fixed size, so no peer can size it; a
+/// body larger than the buffer is read straight into its own buffer.
+const READ_BUF_BYTES: usize = 4 * 1024;
 
 /// A parsed request: method, path, body, and connection disposition.
 #[derive(Debug)]
@@ -51,18 +78,20 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Why a request could not be parsed, carrying the response status the
-/// peer should see (or `None` when the connection should be dropped
-/// silently, e.g. a clean EOF between keep-alive requests).
+/// Why a message could not be read. A server answers a request with
+/// [`RequestError::status`] (or drops the connection silently, e.g. on
+/// a clean EOF between keep-alive requests); a client or the router
+/// treats any variant from [`read_response_full`] as a failed exchange.
 #[derive(Debug)]
 pub enum RequestError {
     /// The peer closed the connection, timed out, or vanished
-    /// mid-request; there is nobody to answer.
+    /// mid-message; there is nobody to answer.
     Closed(String),
-    /// The request is malformed — answer `400`.
+    /// The message is malformed — answer `400`.
     Malformed(String),
-    /// The request line or header section exceeds a hard bound — answer
-    /// `431` without having allocated the oversized input.
+    /// The start line or header section exceeds a hard bound, or a
+    /// response body exceeds [`MAX_RESPONSE_BODY_BYTES`] — answer `431`
+    /// without having allocated the oversized input.
     TooLarge(String),
 }
 
@@ -109,30 +138,23 @@ fn read_line_bounded<R: BufRead>(
     String::from_utf8(buf).map_err(|_| RequestError::Malformed(format!("{what} is not UTF-8")))
 }
 
-/// Reads one HTTP/1.1 request, enforcing every size bound.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
-    let mut reader = BufReader::new(stream);
-    let line = read_line_bounded(&mut reader, MAX_HEADER_BYTES, "request line")?;
+/// Reads a message head: the start line and the headers (names
+/// lower-cased, values trimmed, in wire order), within
+/// [`MAX_HEADER_BYTES`] and [`MAX_HEADER_COUNT`]. An empty start line
+/// means the peer closed.
+fn read_head<R: BufRead>(
+    reader: &mut R,
+    what: &str,
+) -> Result<(String, Vec<(String, String)>), RequestError> {
+    let line = read_line_bounded(reader, MAX_HEADER_BYTES, what)?;
     if line.is_empty() {
-        return Err(RequestError::Closed("empty request".into()));
+        return Err(RequestError::Closed(format!("closed before the {what}")));
     }
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| RequestError::Malformed("missing method".into()))?
-        .to_ascii_uppercase();
-    let path = parts
-        .next()
-        .ok_or_else(|| RequestError::Malformed("missing path".into()))?
-        .to_string();
-    let version = parts.next().unwrap_or("HTTP/1.1").to_ascii_uppercase();
-
-    let mut content_length = 0usize;
-    let mut keep_alive = version != "HTTP/1.0";
+    let mut headers = Vec::new();
     let mut header_bytes = line.len();
     let mut header_count = 0usize;
     loop {
-        let header = read_line_bounded(&mut reader, MAX_HEADER_BYTES, "header")?;
+        let header = read_line_bounded(reader, MAX_HEADER_BYTES, "header")?;
         header_bytes += header.len();
         if header_bytes > MAX_HEADER_BYTES {
             return Err(RequestError::TooLarge(format!(
@@ -150,30 +172,80 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
             )));
         }
         if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .parse::<usize>()
-                    .map_err(|_| RequestError::Malformed("bad content-length".into()))?;
-                if content_length > MAX_BODY_BYTES {
-                    return Err(RequestError::Malformed("body too large".into()));
-                }
-            } else if name.eq_ignore_ascii_case("connection") {
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            }
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
     }
+    Ok((line, headers))
+}
 
-    let mut body = vec![0u8; content_length];
+/// The last `content-length` header, if any, parsed as a byte count.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, RequestError> {
+    match headers.iter().rev().find(|(n, _)| n == "content-length") {
+        None => Ok(None),
+        Some((_, v)) => v
+            .parse::<usize>()
+            .map(Some)
+            .map_err(|_| RequestError::Malformed("bad content-length".into())),
+    }
+}
+
+/// Reads a body of exactly `len` bytes, or up to EOF when `len` is
+/// `None`; never more than `cap` bytes. The buffer grows with the bytes
+/// that actually arrive, so a length claim sizes no allocation.
+fn read_body<R: BufRead>(
+    reader: &mut R,
+    len: Option<usize>,
+    cap: usize,
+) -> Result<String, RequestError> {
+    let mut buf = Vec::new();
     reader
-        .read_exact(&mut body)
+        .by_ref()
+        .take(len.unwrap_or(cap + 1) as u64)
+        .read_to_end(&mut buf)
         .map_err(|e| RequestError::Closed(format!("read body: {e}")))?;
-    let body =
-        String::from_utf8(body).map_err(|_| RequestError::Malformed("body is not UTF-8".into()))?;
+    match len {
+        Some(n) if buf.len() < n => {
+            return Err(RequestError::Closed(format!(
+                "body cut off at {} of {n} bytes",
+                buf.len()
+            )))
+        }
+        None if buf.len() > cap => {
+            return Err(RequestError::TooLarge(format!("body exceeds {cap} bytes")))
+        }
+        _ => {}
+    }
+    String::from_utf8(buf).map_err(|_| RequestError::Malformed("body is not UTF-8".into()))
+}
+
+/// Reads one HTTP/1.1 request, enforcing every size bound.
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, RequestError> {
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
+    let (line, headers) = read_head(&mut reader, "request line")?;
+    let mut parts = line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or_else(|| RequestError::Malformed("missing method".into()))?
+        .to_ascii_uppercase();
+    let path = parts
+        .next()
+        .ok_or_else(|| RequestError::Malformed("missing path".into()))?
+        .to_string();
+    let version = parts.next().unwrap_or("HTTP/1.1").to_ascii_uppercase();
+
+    let len = content_length(&headers)?.unwrap_or(0);
+    if len > MAX_BODY_BYTES {
+        return Err(RequestError::Malformed("body too large".into()));
+    }
+    let mut keep_alive = version != "HTTP/1.0";
+    for (_, value) in headers.iter().filter(|(n, _)| n == "connection") {
+        if value.eq_ignore_ascii_case("close") {
+            keep_alive = false;
+        } else if value.eq_ignore_ascii_case("keep-alive") {
+            keep_alive = true;
+        }
+    }
+    let body = read_body(&mut reader, Some(len), MAX_BODY_BYTES)?;
     Ok(Request {
         method,
         path,
@@ -199,41 +271,44 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one response with `Connection: close` and flushes.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    write_response_keep(stream, status, &[], body, false)
-}
-
-/// [`write_response`] with extra headers (e.g. `retry-after` on a 429).
-/// Header names must already be lower-case.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: u16,
-    extra_headers: &[(&str, &str)],
+/// Writes one request (advertising keep-alive) in a single write and
+/// flushes. `host` is the `host:` header value.
+pub fn write_request<W: Write>(
+    stream: &mut W,
+    host: &str,
+    method: &str,
+    path: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    write_response_keep(stream, status, extra_headers, body, false)
+    let mut msg = format!(
+        "{method} {path} HTTP/1.1\r\nhost: {host}\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
+        body.len()
+    );
+    msg.push_str(body);
+    stream.write_all(msg.as_bytes())?;
+    stream.flush()
 }
 
-/// Writes one response, advertising whether the connection stays open.
-pub fn write_response_keep(
-    stream: &mut TcpStream,
+/// Writes one response in a single write, advertising whether the
+/// connection stays open, and flushes.
+pub fn write_response_keep<W: Write>(
+    stream: &mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
+    let mut msg = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        msg.push_str(&format!("{name}: {value}\r\n"));
     }
-    head.push_str(&format!(
+    msg.push_str(&format!(
         "content-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" }
     ));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    msg.push_str(body);
+    stream.write_all(msg.as_bytes())?;
     stream.flush()
 }
 
@@ -269,63 +344,29 @@ impl HttpResponse {
     }
 }
 
-/// Reads one response off a client connection: `(status, body)`.
-pub fn read_response(stream: &mut TcpStream) -> Result<(u16, String), String> {
-    let r = read_response_full(stream)?;
-    Ok((r.status, r.body))
-}
-
 /// Reads one full response (status + headers + body) off a client
-/// connection. Safe on a reused keep-alive connection: the body is
-/// `Content-Length`-delimited and fully consumed, so nothing of the
-/// next exchange is buffered away.
-pub fn read_response_full(stream: &mut TcpStream) -> Result<HttpResponse, String> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read status line: {e}"))?;
+/// connection, within the same head bounds as [`read_request`] and at
+/// most [`MAX_RESPONSE_BODY_BYTES`] of body. Safe on a reused
+/// keep-alive connection: the body is `Content-Length`-delimited and
+/// fully consumed, so nothing of the next exchange is buffered away.
+pub fn read_response_full<R: Read>(stream: &mut R) -> Result<HttpResponse, RequestError> {
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
+    let (line, headers) = read_head(&mut reader, "status line")?;
     let status = line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| format!("bad status line {line:?}"))?;
-    let mut headers: Vec<(String, String)> = Vec::new();
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse::<usize>().ok();
-            }
-            headers.push((name, value));
-        }
+        .ok_or_else(|| {
+            let shown: String = line.trim_end().chars().take(32).collect();
+            RequestError::Malformed(format!("bad status line {shown:?}"))
+        })?;
+    let len = content_length(&headers)?;
+    if len.is_some_and(|n| n > MAX_RESPONSE_BODY_BYTES) {
+        return Err(RequestError::TooLarge(format!(
+            "response body exceeds {MAX_RESPONSE_BODY_BYTES} bytes"
+        )));
     }
-    let body = match content_length {
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| format!("read body: {e}"))?;
-            String::from_utf8(buf).map_err(|_| "body is not UTF-8".to_string())?
-        }
-        None => {
-            let mut buf = String::new();
-            reader
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("read body: {e}"))?;
-            buf
-        }
-    };
+    let body = read_body(&mut reader, len, MAX_RESPONSE_BODY_BYTES)?;
     Ok(HttpResponse {
         status,
         headers,
@@ -477,6 +518,7 @@ fn serve_connection<H>(
 {
     let _ = stream.set_write_timeout(Some(policy.io_timeout));
     let _ = stream.set_read_timeout(Some(policy.idle_timeout));
+    let _ = stream.set_nodelay(true);
     let mut served = 0u32;
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -545,11 +587,12 @@ mod tests {
         let client = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             s.write_all(request.as_bytes()).unwrap();
-            read_response(&mut s).unwrap()
+            let resp = read_response_full(&mut s).unwrap();
+            (resp.status, resp.body)
         });
         let (mut server_side, _) = listener.accept().unwrap();
         let req = read_request(&mut server_side).unwrap();
-        write_response(&mut server_side, status, body).unwrap();
+        write_response_keep(&mut server_side, status, &[], body, false).unwrap();
         drop(server_side);
         (req, client.join().unwrap())
     }
@@ -624,11 +667,12 @@ mod tests {
         });
         let (mut server_side, _) = listener.accept().unwrap();
         let _ = read_request(&mut server_side).unwrap();
-        write_response_with(
+        write_response_keep(
             &mut server_side,
             429,
             &[("retry-after", "1")],
             "{\"error\":\"queue_full\"}",
+            false,
         )
         .unwrap();
         drop(server_side);
@@ -703,6 +747,109 @@ mod tests {
             Err(e @ RequestError::Closed(_)) => assert_eq!(e.status(), None),
             other => panic!("expected Closed, got {other:?}"),
         }
+    }
+
+    /// A writer that records every `write` call, so a test can check
+    /// both the bytes and that they left in one piece.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs one writer and returns its single write.
+    fn one_write(write: impl FnOnce(&mut Writes) -> std::io::Result<()>) -> String {
+        let mut w = Writes::default();
+        write(&mut w).unwrap();
+        assert_eq!(w.0.len(), 1, "a message must leave in one write");
+        String::from_utf8(w.0.remove(0)).unwrap()
+    }
+
+    #[test]
+    fn response_wire_bytes_are_pinned() {
+        assert_eq!(
+            one_write(|w| write_response_keep(
+                w,
+                429,
+                &[("retry-after", "1")],
+                "{\"error\":\"queue_full\"}",
+                false
+            )),
+            "HTTP/1.1 429 Too Many Requests\r\nretry-after: 1\r\n\
+             content-type: application/json\r\ncontent-length: 22\r\n\
+             connection: close\r\n\r\n{\"error\":\"queue_full\"}"
+        );
+        assert_eq!(
+            one_write(|w| write_response_keep(w, 200, &[], "{\"ok\":true}", true)),
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+             content-length: 11\r\nconnection: keep-alive\r\n\r\n{\"ok\":true}"
+        );
+        assert_eq!(
+            one_write(|w| write_response_keep(w, 202, &[], "", false)),
+            "HTTP/1.1 202 Accepted\r\ncontent-type: application/json\r\n\
+             content-length: 0\r\nconnection: close\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn request_wire_bytes_are_pinned() {
+        assert_eq!(
+            one_write(|w| write_request(w, "shard", "GET", "/health", "")),
+            "GET /health HTTP/1.1\r\nhost: shard\r\ncontent-length: 0\r\n\
+             connection: keep-alive\r\n\r\n"
+        );
+        assert_eq!(
+            one_write(|w| write_request(
+                w,
+                "127.0.0.1:7177",
+                "POST",
+                "/runs",
+                "{\"workload\":\"lbm\"}"
+            )),
+            "POST /runs HTTP/1.1\r\nhost: 127.0.0.1:7177\r\ncontent-length: 18\r\n\
+             connection: keep-alive\r\n\r\n{\"workload\":\"lbm\"}"
+        );
+    }
+
+    #[test]
+    fn written_messages_parse_back() {
+        let mut wire = Vec::new();
+        write_request(&mut wire, "shard", "POST", "/runs", "{\"a\":1}").unwrap();
+        let req = read_request(&mut wire.as_slice()).unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/runs"));
+        assert_eq!(req.body, "{\"a\":1}");
+        assert!(req.keep_alive);
+
+        let mut wire = Vec::new();
+        write_response_keep(&mut wire, 503, &[("retry-after", "2")], "{}", true).unwrap();
+        let resp = read_response_full(&mut wire.as_slice()).unwrap();
+        assert_eq!((resp.status, resp.body.as_str()), (503, "{}"));
+        assert_eq!(resp.retry_after_secs(), Some(2));
+        assert!(resp.keep_alive());
+    }
+
+    #[test]
+    fn cut_off_responses_are_closed_and_unframed_ones_run_to_eof() {
+        for bytes in [
+            b"".as_slice(),
+            b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\n{}",
+        ] {
+            match read_response_full(&mut &bytes[..]) {
+                Err(RequestError::Closed(_)) => {}
+                other => panic!("expected Closed, got {other:?}"),
+            }
+        }
+        let mut unframed = b"HTTP/1.1 200 OK\r\n\r\n{\"ok\":true}".as_slice();
+        let resp = read_response_full(&mut unframed).unwrap();
+        assert_eq!(resp.body, "{\"ok\":true}");
     }
 
     #[test]

@@ -937,3 +937,45 @@ fn drain(shared: &Shared) -> String {
         .u64("expired", shared.expired.load(Ordering::SeqCst))
         .finish()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::MAX_RESPONSE_BODY_BYTES;
+
+    /// The largest legitimate reply a client or the router reads: a
+    /// `/submit-batch` answer of `MAX_BATCH` cached summaries, at
+    /// pessimistic field widths (32-character names, `u64::MAX` counts,
+    /// floats needing 17 significant digits after leading zeros).
+    #[test]
+    fn worst_case_batch_reply_fits_the_response_bound() {
+        let summary = RunSummary {
+            key: "f".repeat(32),
+            workload: "w".repeat(32),
+            policy: "p".repeat(32),
+            ipc: 1.0 / 3.0,
+            ser_fit: 1.0e-5 / 3.0,
+            ser_vs_ddr_only: 1.0e-5 / 3.0,
+            cycles: u64::MAX,
+            instructions: u64::MAX,
+            mpki: 1.0e-5 / 3.0,
+            hbm_accesses: u64::MAX,
+            ddr_accesses: u64::MAX,
+            migrations: u64::MAX,
+        };
+        let mut w = ObjWriter::new();
+        w.u64("count", MAX_BATCH as u64);
+        for i in 0..MAX_BATCH {
+            let p = format!("{i}.");
+            w.str(&format!("{p}state"), "done")
+                .bool(&format!("{p}cached"), true);
+            summary.write_fields_prefixed(&mut w, &p);
+        }
+        let len = w.finish().len();
+        eprintln!("worst-case batch reply: {len} bytes");
+        assert!(
+            4 * len < MAX_RESPONSE_BODY_BYTES,
+            "{len}-byte batch reply leaves under 4x headroom"
+        );
+    }
+}

@@ -268,6 +268,12 @@ cargo build --release --workspace --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+# The benchmark package (benchmark/) is its own workspace, so the line
+# above does not reach it: run its self-tests (statistics, the compare
+# rule, metric catalogue vs BENCHMARK.json, build-profile parity).
+echo "==> benchmark harness self-tests"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Golden-snapshot determinism gate: the telemetry JSON must be
 # byte-identical to tests/golden/smoke_stats.json at both thread counts,
 # so a thread-count leak into the payload fails fast here.

@@ -2,8 +2,9 @@
 //! (in-tree `ramp::sim::check` harness): ECC algebra, AVF bounds,
 //! page-map consistency, MEA's frequent-element guarantee,
 //! trace-generator containment, telemetry invariants (histogram
-//! conservation, epoch monotonicity, merge/sequential equivalence) and
-//! the store's frame and wire decoders under hostile bytes.
+//! conservation, epoch monotonicity, merge/sequential equivalence), and
+//! the store's frame and wire decoders and the HTTP request and
+//! response parsers under hostile bytes.
 //!
 //! Each property runs 256 deterministic cases; on failure the harness
 //! prints the case's seed so `RAMP_PROP_SEED=<seed>` replays it alone.
@@ -406,6 +407,22 @@ fn gen_run(g: &mut ramp::sim::check::Gen) -> ramp::core::system::RunResult {
     }
 }
 
+/// Overwrites up to 5 bytes of `bytes`, then cuts or extends it.
+fn mutate(g: &mut ramp::sim::check::Gen, bytes: &mut Vec<u8>) {
+    for _ in 0..g.usize_in(0, 6) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = g.usize_in(0, bytes.len());
+        bytes[at] = g.u8_in_inclusive(0, 255);
+    }
+    match g.u64_below(4) {
+        0 => bytes.truncate(g.usize_in(0, bytes.len() + 1)),
+        1 => bytes.extend(g.vec(1, 16, |g| g.u8_in_inclusive(0, 255))),
+        _ => {}
+    }
+}
+
 /// Runs every frame and wire decoder on `bytes`: each must return `Ok`
 /// or a typed `CodecError` (a panic fails the case with its replay
 /// seed), and no single allocation may outgrow the input — at most 4
@@ -469,18 +486,7 @@ fn hostile_frames_decode_cleanly_within_input_sized_allocations() {
         } else {
             entry.clone()
         };
-        for _ in 0..g.usize_in(0, 6) {
-            if bytes.is_empty() {
-                break;
-            }
-            let at = g.usize_in(0, bytes.len());
-            bytes[at] = g.u8_in_inclusive(0, 255);
-        }
-        match g.u64_below(4) {
-            0 => bytes.truncate(g.usize_in(0, bytes.len() + 1)),
-            1 => bytes.extend(g.vec(1, 16, |g| g.u8_in_inclusive(0, 255))),
-            _ => {}
-        }
+        mutate(g, &mut bytes);
         // Header: 8 magic + 4 version + 1 kind + 8 length; trailer: 8.
         if bytes.len() >= 29 && g.bool() {
             bytes = encode_framed(kind, WIRE_VERSION, &bytes[21..bytes.len() - 8]);
@@ -494,5 +500,113 @@ fn hostile_frames_decode_cleanly_within_input_sized_allocations() {
             hostile[at..at + 4].copy_from_slice(&claim.to_le_bytes());
             assert_decodes_cleanly(&encode_framed(kind, WIRE_VERSION, &hostile));
         }
+    });
+}
+
+/// Runs both HTTP parsers on `bytes`: each must return `Ok` or a typed
+/// `RequestError` (a panic fails the case with its replay seed), within
+/// the decoders' allocation bound above — 4× the input plus 4 KiB, the
+/// 4 KiB being the parsers' fixed read buffer. A parsed request never
+/// carries more body than `MAX_BODY_BYTES`.
+fn assert_http_parses_cleanly(bytes: &[u8]) {
+    use ramp::serve::http::{read_request, read_response_full, MAX_BODY_BYTES};
+
+    let limit = 4 * bytes.len() + 4096;
+    assert_allocs_within(limit, "read_request", || {
+        if let Ok(req) = read_request(&mut &bytes[..]) {
+            assert!(req.body.len() <= MAX_BODY_BYTES);
+        }
+    });
+    assert_allocs_within(limit, "read_response_full", || {
+        let _ = read_response_full(&mut &bytes[..]);
+    });
+}
+
+/// The HTTP request and response parsers under hostile bytes. Each case
+/// builds a valid request (random method, path, filler headers, a
+/// `connection` header and a body) and checks that it parses back
+/// exactly; then feeds both parsers random bytes or the request
+/// mutated, the request with a hostile `content-length` (too large,
+/// overflowing, negative, empty, non-decimal — each must be an `Err`),
+/// a header count at the bound ± 2 (`TooLarge` exactly past it), and a
+/// mutated response.
+#[test]
+fn hostile_http_messages_parse_cleanly_within_input_sized_allocations() {
+    use ramp::serve::http::{
+        read_request, write_request, write_response_keep, RequestError, MAX_HEADER_COUNT,
+    };
+
+    check("hostile_http_messages_parse_cleanly", |g| {
+        let method = *g.pick(&["GET", "POST", "PUT", "DELETE"]);
+        let path = format!("/runs/{:x}", g.u64());
+        let body: String = g
+            .vec(0, 300, |g| g.u8_in_inclusive(b' ', b'~'))
+            .into_iter()
+            .map(char::from)
+            .collect();
+        let mut head = format!("{method} {path} HTTP/1.1\r\n");
+        for i in 0..g.usize_in(0, 8) {
+            head.push_str(&format!("x-filler-{i}: {}\r\n", g.u64()));
+        }
+        let close = g.bool();
+        head.push_str(if close {
+            "connection: close\r\n"
+        } else {
+            "connection: keep-alive\r\n"
+        });
+        let valid = format!("{head}content-length: {}\r\n\r\n{body}", body.len());
+        let req = read_request(&mut valid.as_bytes()).unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            (method, path.as_str())
+        );
+        assert_eq!((req.body.as_str(), req.keep_alive), (body.as_str(), !close));
+        assert_http_parses_cleanly(valid.as_bytes());
+
+        let mut bytes = if g.u64_below(4) == 0 {
+            g.vec(0, 600, |g| g.u8_in_inclusive(0, 255))
+        } else {
+            valid.clone().into_bytes()
+        };
+        mutate(g, &mut bytes);
+        assert_http_parses_cleanly(&bytes);
+
+        let huge = (1000 + g.u64() % (1 << 40)).to_string();
+        let claim = g
+            .pick(&[
+                "18446744073709551615".to_string(),
+                "18446744073709551616".to_string(),
+                "4294967296".to_string(),
+                "65536".to_string(),
+                "65537".to_string(),
+                huge,
+                "-1".to_string(),
+                String::new(),
+                "0x10".to_string(),
+                "1e9".to_string(),
+            ])
+            .clone();
+        let hostile = format!("{head}content-length: {claim}\r\n\r\n{body}");
+        assert!(read_request(&mut hostile.as_bytes()).is_err(), "{claim:?}");
+        assert_http_parses_cleanly(hostile.as_bytes());
+
+        let count = g.usize_in(MAX_HEADER_COUNT - 2, MAX_HEADER_COUNT + 3);
+        let many = (0..count).fold(format!("{method} {path} HTTP/1.1\r\n"), |s, i| {
+            s + &format!("h{i}: v\r\n")
+        }) + "\r\n";
+        match read_request(&mut many.as_bytes()) {
+            Ok(_) => assert!(count <= MAX_HEADER_COUNT),
+            Err(RequestError::TooLarge(_)) => assert!(count > MAX_HEADER_COUNT),
+            Err(e) => panic!("{count} headers: {e}"),
+        }
+        assert_http_parses_cleanly(many.as_bytes());
+
+        let mut wire = Vec::new();
+        write_request(&mut wire, "shard", method, &path, &body).unwrap();
+        assert_eq!(read_request(&mut wire.as_slice()).unwrap().body, body);
+        let mut response = Vec::new();
+        write_response_keep(&mut response, 200, &[("retry-after", "1")], &body, !close).unwrap();
+        mutate(g, &mut response);
+        assert_http_parses_cleanly(&response);
     });
 }
