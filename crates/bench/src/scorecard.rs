@@ -42,7 +42,7 @@ use ramp_core::system::RunResult;
 use ramp_core::PageMap;
 use ramp_dram::{AddressMapping, MemRequest, MemorySystem, Organization};
 use ramp_serve::json::{parse_flat, ObjWriter};
-use ramp_serve::store::{run_key, RunKind, RunStore, StoreMode};
+use ramp_serve::store::{run_key, RunKind, RunStore};
 use ramp_sim::rng::{SimRng, Zipf};
 use ramp_sim::telemetry::{Snapshot, Stat};
 use ramp_sim::units::{AccessKind, Cycle, LineAddr, PageId};
@@ -53,10 +53,10 @@ use crate::microbench::black_box;
 /// Schema version of the emitted document. Bump only with a deliberate
 /// layout change (and re-bless the golden snapshot + committed file).
 ///
-/// v2: added the `store_append_replay_{files,wal}` kernel pair pinning
-/// the WAL backend's append+replay overhead against the one-file-per-
-/// entry backend.
-pub const SCHEMA: &str = "ramp-bench-v2";
+/// v2: added a store append+replay kernel pair, one per store backend.
+/// v3: the kernel pinning the append-only log backend left with that
+/// backend; `store_append_replay_files` is the one store kernel.
+pub const SCHEMA: &str = "ramp-bench-v3";
 
 /// Environment variable: any value switches the suite to fast mode
 /// (fewer samples, smaller probe) for the CI smoke stage.
@@ -410,19 +410,15 @@ pub fn run_suite(fast: bool) -> Vec<BenchResult> {
         ),
     );
 
-    // Store append + replay: K results into a fresh store, drop, reopen
-    // (the WAL backend replays the whole log), one readback. The
-    // files/WAL pair pins the durable-log overhead against the
-    // one-file-per-entry backend (DESIGN.md §11).
+    // Store append + replay: K results into a fresh store, drop, reopen,
+    // one readback — the write path (temp file, rename, read-back
+    // verify) plus one warm read (DESIGN.md §11).
     let store_cfg = SystemConfig::smoke_test();
     let store_k = if fast { 8u64 } else { 24 };
-    let store_kernel = |mode: StoreMode| {
-        let dir = std::env::temp_dir().join(format!(
-            "ramp-bench-store-{}-{}",
-            mode.label(),
-            std::process::id()
-        ));
-        let timing = sample(
+    let dir = std::env::temp_dir().join(format!("ramp-bench-store-files-{}", std::process::id()));
+    push(
+        "store_append_replay_files",
+        sample(
             warmup,
             n,
             || {
@@ -430,7 +426,7 @@ pub fn run_suite(fast: bool) -> Vec<BenchResult> {
                 dir.clone()
             },
             |dir| {
-                let store = RunStore::open_mode(&dir, mode).expect("open bench store");
+                let store = RunStore::open(&dir).expect("open bench store");
                 let mut last = String::new();
                 for i in 0..store_k {
                     let key = run_key(&store_cfg, RunKind::Migration, &format!("wl{i}"), "bench");
@@ -438,17 +434,12 @@ pub fn run_suite(fast: bool) -> Vec<BenchResult> {
                     last = key;
                 }
                 drop(store);
-                let store = RunStore::open_mode(&dir, mode).expect("reopen bench store");
-                black_box(store.load_run(&last).expect("readback after replay").cycles);
+                let store = RunStore::open(&dir).expect("reopen bench store");
+                black_box(store.load_run(&last).expect("readback after reopen").cycles);
             },
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-        timing
-    };
-    let files = store_kernel(StoreMode::Files);
-    push("store_append_replay_files", files);
-    let wal = store_kernel(StoreMode::Wal);
-    push("store_append_replay_wal", wal);
+        ),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 
     out
 }

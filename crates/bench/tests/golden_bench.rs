@@ -26,7 +26,7 @@ use ramp_serve::json::parse_flat;
 
 const GOLDEN_PATH: &str = "tests/golden/scorecard_example.json";
 
-/// The eight pinned kernels; `check` treats a name-set change as drift.
+/// The seven pinned kernels; `check` treats a name-set change as drift.
 const KERNELS: &[&str] = &[
     "trace_gen",
     "zipf_sample",
@@ -35,7 +35,6 @@ const KERNELS: &[&str] = &[
     "dram_mapping",
     "pagemap_frame_line",
     "store_append_replay_files",
-    "store_append_replay_wal",
 ];
 
 fn golden_file() -> PathBuf {

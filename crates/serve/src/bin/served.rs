@@ -16,13 +16,12 @@
 //! §11). `--smoke` switches to the small `SystemConfig::smoke_test`
 //! system so CI runs finish in seconds; `RAMP_INSTS` overrides the
 //! per-core instruction budget either way, and
-//! `RAMP_STORE`/`RAMP_STORE_DIR`/`RAMP_STORE_MODE` configure the result
-//! store exactly as for the experiment binaries (`RAMP_STORE_MODE=wal`
-//! selects the append-only WAL backend). `--deadline-ms` caps how long
+//! `RAMP_STORE`/`RAMP_STORE_DIR` configure the result store exactly as
+//! for the experiment binaries. `--deadline-ms` caps how long
 //! a queued job may wait before it is expired unrun (default 60000),
 //! `--http-threads` sizes the keep-alive connection pool's handler
 //! thread count (default 4), and `RAMP_CHAOS` arms fault injection
-//! across the executor, store, WAL, workers and connection handling
+//! across the executor, store, workers and connection handling
 //! (see DESIGN.md §8).
 
 use std::time::Duration;

@@ -1,16 +1,14 @@
 //! `ramp-store` — offline maintenance for the persistent run store.
 //!
 //! ```text
-//! ramp-store stats   [--dir DIR] [--mode files|wal]
-//! ramp-store scrub   [--dir DIR] [--mode files|wal]
-//! ramp-store ckpt    [--dir DIR] [--mode files|wal] [--rm KEY]
-//! ramp-store verify  [--dir DIR] [--mode files|wal]
-//! ramp-store compact [--dir DIR]
+//! ramp-store stats  [--dir DIR]
+//! ramp-store scrub  [--dir DIR]
+//! ramp-store ckpt   [--dir DIR] [--rm KEY]
+//! ramp-store verify [--dir DIR]
 //! ```
 //!
 //! Every subcommand targets the directory from `--dir`, `RAMP_STORE_DIR`
-//! or `target/ramp-store`, and the backend from `--mode` or
-//! `RAMP_STORE_MODE` (default `files`).
+//! or `target/ramp-store`.
 //!
 //! `scrub` repairs: it removes stale `tmp-*` files left by interrupted
 //! writes, quarantines every entry that no longer decodes (renamed
@@ -25,44 +23,32 @@
 //! ```
 //!
 //! `stats` is read-only: one greppable line counting what the store
-//! holds (`[stats] dir=... mode=files runs=12 annotated=1 ...`) — the
+//! holds (`[stats] dir=... runs=12 annotated=1 ...`) — the
 //! sweep CI stage uses it to prove a warm re-sweep added nothing.
 //!
 //! `ckpt` lists the checkpoint segments interrupted runs left behind
 //! (one `[ckpt] key=... epoch=... bytes=...` line per segment plus a
 //! summary), and `ckpt --rm KEY` deletes the trail of one run.
 //!
-//! `verify` decodes every entry (file mode) or re-scans the manifest and
-//! every WAL segment from disk (WAL mode), prints one line per problem
-//! and a summary, and exits 1 if anything is damaged — the CI gate for
-//! "the store on disk is byte-for-byte sound". File mode is read-only.
-//! In WAL mode, opening the store heals what replay finds first; that
-//! damage (e.g. segments written by an older build, whose frames no
-//! longer decode) is reported as a `healed on open:` problem.
-//!
-//! `compact` (WAL mode only) rewrites the live records into fresh
-//! segments and retires the old ones; replay-proof ordering makes it
-//! crash-safe at any point (see DESIGN.md §11).
+//! `verify` decodes every entry, prints one line per problem and a
+//! summary, and exits 1 if anything is damaged — the CI gate for "the
+//! store on disk is byte-for-byte sound". It is read-only.
 
-use ramp_serve::store::{RunStore, StoreMode, DEFAULT_DIR, ENV_STORE_DIR, ENV_STORE_MODE};
+use ramp_serve::store::{RunStore, DEFAULT_DIR, ENV_STORE_DIR};
 
 fn usage() -> ! {
-    eprintln!("usage: ramp-store stats   [--dir DIR] [--mode files|wal]");
-    eprintln!("       ramp-store scrub   [--dir DIR] [--mode files|wal]");
-    eprintln!("       ramp-store ckpt    [--dir DIR] [--mode files|wal] [--rm KEY]");
-    eprintln!("       ramp-store verify  [--dir DIR] [--mode files|wal]");
-    eprintln!("       ramp-store compact [--dir DIR]");
+    eprintln!("usage: ramp-store stats  [--dir DIR]");
+    eprintln!("       ramp-store scrub  [--dir DIR]");
+    eprintln!("       ramp-store ckpt   [--dir DIR] [--rm KEY]");
+    eprintln!("       ramp-store verify [--dir DIR]");
     std::process::exit(2);
 }
 
-fn open(dir: &str, mode: StoreMode) -> RunStore {
-    match RunStore::open_mode(dir, mode) {
+fn open(dir: &str) -> RunStore {
+    match RunStore::open(dir) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!(
-                "ramp-store: cannot open {} store at {dir}: {e}",
-                mode.label()
-            );
+            eprintln!("ramp-store: cannot open store at {dir}: {e}");
             std::process::exit(1);
         }
     }
@@ -72,21 +58,12 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else { usage() };
     let mut dir = std::env::var(ENV_STORE_DIR).unwrap_or_else(|_| DEFAULT_DIR.to_string());
-    let mut mode = match std::env::var(ENV_STORE_MODE) {
-        Ok(v) if v.eq_ignore_ascii_case("wal") => StoreMode::Wal,
-        _ => StoreMode::Files,
-    };
     let mut rm_key: Option<String> = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--dir" => match args.next() {
                 Some(d) => dir = d,
                 None => usage(),
-            },
-            "--mode" => match args.next().as_deref() {
-                Some("files") => mode = StoreMode::Files,
-                Some("wal") => mode = StoreMode::Wal,
-                _ => usage(),
             },
             "--rm" if cmd == "ckpt" => match args.next() {
                 Some(k) => rm_key = Some(k),
@@ -100,15 +77,15 @@ fn main() {
     }
     match cmd.as_str() {
         "stats" => {
-            let stats = open(&dir, mode).stats();
+            let stats = open(&dir).stats();
             println!("[stats] dir={dir} {stats}");
         }
         "scrub" => {
-            let report = open(&dir, mode).scrub();
+            let report = open(&dir).scrub();
             println!("[scrub] dir={dir} {report}");
         }
         "ckpt" => {
-            let store = open(&dir, mode);
+            let store = open(&dir);
             if let Some(key) = rm_key {
                 let removed = store.remove_checkpoints(&key);
                 println!("[ckpt] dir={dir} key={key} removed={removed}");
@@ -127,34 +104,13 @@ fn main() {
             );
         }
         "verify" => {
-            let store = open(&dir, mode);
-            let mut report = store.verify();
-            // Opening a WAL store heals what replay finds (quarantined
-            // remainders, torn tails, a rebuilt manifest) before the scan
-            // runs, so report that damage here instead of losing it.
-            if let Some(replay) = store
-                .replay_report()
-                .filter(|r| r.quarantined > 0 || r.torn_truncated > 0 || r.manifest_rebuilt)
-            {
-                report.errors.insert(0, format!("healed on open: {replay}"));
-            }
+            let report = open(&dir).verify();
             for err in &report.errors {
                 eprintln!("[verify] problem: {err}");
             }
             println!("[verify] dir={dir} {report}");
             if !report.ok() {
                 std::process::exit(1);
-            }
-        }
-        "compact" => {
-            let store = open(&dir, StoreMode::Wal);
-            match store.compact() {
-                Some(Ok(report)) => println!("[compact] dir={dir} {report}"),
-                Some(Err(e)) => {
-                    eprintln!("ramp-store: compaction failed: {e}");
-                    std::process::exit(1);
-                }
-                None => unreachable!("opened in WAL mode"),
             }
         }
         other => {

@@ -14,11 +14,10 @@
 //!    under `target/ramp-store/`, so concurrent processes can share one
 //!    store. `ramp_bench::Harness` consults the store before simulating
 //!    and persists misses — a second invocation of any experiment binary
-//!    is served entirely from disk. The store has two interchangeable
-//!    backends behind the same API: the default one-file-per-entry
-//!    layout, and a [`wal`]-backed layout (`RAMP_STORE_MODE=wal`) that
-//!    batches records into append-only checksummed segments with
-//!    crash-consistent replay and explicit compaction.
+//!    is served entirely from disk. Every entry is its own file, written
+//!    once and read back before it counts; undecodable entries are
+//!    quarantined, and checkpoint trails live next to the runs they
+//!    resume.
 //! 2. **[`server`]** — an HTTP/1.1 experiment server over
 //!    `std::net::TcpListener` with flat-JSON request bodies, executed by
 //!    a supervised pool of worker threads: run keys are consistent-hash
@@ -69,7 +68,6 @@ pub mod router;
 pub mod server;
 pub mod spec;
 pub mod store;
-pub mod wal;
 pub mod wire;
 
 pub use client::Client;

@@ -5,10 +5,9 @@
 //! answers straight from the [`RunStore`] (a warm result costs one disk
 //! read) or routes the job to a worker and returns `202` with a job id.
 //! Routing is a jump consistent hash of the run key over the worker
-//! slots, so every key has exactly **one** writer — a prerequisite for
-//! the WAL store backend, whose append log assumes one appender per key
-//! — and duplicate submissions of the same run land on the same worker
-//! instead of racing. Each worker owns a bounded queue; when a worker's
+//! slots, so every key has exactly **one** writer, and duplicate
+//! submissions of the same run land on the same worker instead of
+//! racing. Each worker owns a bounded queue; when a worker's
 //! queue is full the server sheds load with `429` (carrying
 //! `retry-after: 1`) instead of buffering without bound, and
 //! `POST /shutdown` closes every queue, drains every accepted job,
@@ -114,7 +113,7 @@ impl ServerConfig {
     }
 }
 
-/// A compact, flat-JSON-friendly view of one finished run.
+/// A small, flat-JSON-friendly view of one finished run.
 #[derive(Clone, Debug)]
 pub struct RunSummary {
     /// Content-addressed store key.

@@ -28,17 +28,13 @@
 //! rot) — which is how the resilience test matrix exercises the
 //! quarantine and degraded-mode paths deterministically.
 //!
-//! **Backends.** The description above is the default one-file-per-run
-//! backend. `RAMP_STORE_MODE=wal` selects the append-only WAL backend
-//! ([`crate::wal`]): the same content-addressed API, but entries become
-//! checksummed records batched into segment files with a
-//! generation-numbered manifest, replay-on-open crash recovery, and
-//! explicit compaction (`ramp-store compact`). File mode supports
-//! concurrent writer processes; WAL mode is single-process (the
-//! multi-worker server shares one handle). Both modes are covered by
-//! [`RunStore::verify`] (read-only validation) and [`RunStore::scrub`]
-//! (healing walk, which also reclaims orphaned checkpoint trails whose
-//! base run entry is missing or quarantined).
+//! Checkpoint trails use the same layout, one `{key}-e{epoch:08}.ckpt`
+//! file per epoch; a resume takes the newest one that decodes.
+//! [`RunStore::verify`] is the read-only validation pass and
+//! [`RunStore::scrub`] the healing walk, which also reclaims orphaned
+//! checkpoint trails whose base run entry is missing or quarantined.
+//! Both look only at the files directly inside the store directory:
+//! subdirectories are never read, counted or touched.
 
 use std::fs;
 use std::io::Write as _;
@@ -53,7 +49,6 @@ use ramp_sim::chaos::{self, Chaos, FaultKind};
 use ramp_sim::codec::{decode_framed, fnv1a64_seeded, ByteWriter};
 use ramp_sim::telemetry::StatRegistry;
 
-use crate::wal::{self, AppendError, ReplayReport, ValueKind, Wal};
 use crate::wire::{self, WIRE_VERSION};
 
 /// Bump to invalidate every existing store entry after a simulator
@@ -64,31 +59,8 @@ pub const STORE_SALT: u32 = 1;
 pub const ENV_STORE: &str = "RAMP_STORE";
 /// Environment variable overriding the store directory.
 pub const ENV_STORE_DIR: &str = "RAMP_STORE_DIR";
-/// Environment variable selecting the backend: `files` (default) or
-/// `wal`. Unknown values degrade to `files`.
-pub const ENV_STORE_MODE: &str = "RAMP_STORE_MODE";
 /// Default store directory, relative to the working directory.
 pub const DEFAULT_DIR: &str = "target/ramp-store";
-
-/// Which backend a [`RunStore`] persists through.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StoreMode {
-    /// One file per entry, atomic tmp+rename writes (the default).
-    #[default]
-    Files,
-    /// Append-only WAL segments with manifest + replay ([`crate::wal`]).
-    Wal,
-}
-
-impl StoreMode {
-    /// Stable lower-case label (the `RAMP_STORE_MODE` value).
-    pub fn label(self) -> &'static str {
-        match self {
-            StoreMode::Files => "files",
-            StoreMode::Wal => "wal",
-        }
-    }
-}
 
 /// The four kinds of runs the store distinguishes.
 ///
@@ -183,54 +155,25 @@ pub struct RunStore {
     metrics: StoreMetrics,
     tmp_counter: AtomicU64,
     chaos: Option<Arc<Chaos>>,
-    /// `Some` in WAL mode; `None` in file mode.
-    wal: Option<Wal>,
-    /// What replay-on-open found (WAL mode only).
-    replay: Option<ReplayReport>,
 }
 
 impl RunStore {
-    /// Opens (creating if needed) a file-mode store rooted at `dir`,
-    /// with no fault injection attached.
+    /// Opens (creating if needed) a store rooted at `dir`, with no
+    /// fault injection attached.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<RunStore> {
-        RunStore::open_mode(dir, StoreMode::Files)
-    }
-
-    /// Opens (creating if needed) a WAL-mode store rooted at `dir`:
-    /// segments live under `<dir>/wal/` and every live record is
-    /// replayed into memory before the handle is returned.
-    pub fn open_wal(dir: impl Into<PathBuf>) -> std::io::Result<RunStore> {
-        RunStore::open_mode(dir, StoreMode::Wal)
-    }
-
-    /// Opens a store rooted at `dir` with an explicit backend.
-    pub fn open_mode(dir: impl Into<PathBuf>, mode: StoreMode) -> std::io::Result<RunStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let (wal, replay) = match mode {
-            StoreMode::Files => (None, None),
-            StoreMode::Wal => {
-                let (wal, replay) = Wal::open(dir.join("wal"), None, wal::seg_bytes_from_env())?;
-                (Some(wal), Some(replay))
-            }
-        };
         Ok(RunStore {
             dir,
             metrics: StoreMetrics::default(),
             tmp_counter: AtomicU64::new(0),
             chaos: None,
-            wal,
-            replay,
         })
     }
 
     /// Attaches a fault-injection registry: subsequent reads and writes
-    /// roll the `store.read` / `store.write` / `store.corrupt` sites
-    /// (file mode) and the `wal.*` sites (WAL mode).
+    /// roll the `store.read` / `store.write` / `store.corrupt` sites.
     pub fn with_chaos(mut self, chaos: Option<Arc<Chaos>>) -> Self {
-        if let Some(wal) = &mut self.wal {
-            wal.set_chaos(chaos.clone());
-        }
         self.chaos = chaos;
         self
     }
@@ -243,8 +186,7 @@ impl RunStore {
 
     /// Opens the store configured by the environment: `RAMP_STORE=off`
     /// (or `0`) disables it, `RAMP_STORE_DIR` overrides the directory,
-    /// `RAMP_STORE_MODE=wal` selects the WAL backend, and the default
-    /// is `target/ramp-store` in file mode (store **on**).
+    /// and the default is `target/ramp-store` (store **on**).
     ///
     /// Returns `None` when disabled or when the directory cannot be
     /// created (a read-only checkout should degrade to cold runs, not
@@ -254,12 +196,8 @@ impl RunStore {
             Ok(v) if v.eq_ignore_ascii_case("off") || v == "0" => return None,
             _ => {}
         }
-        let mode = match std::env::var(ENV_STORE_MODE) {
-            Ok(v) if v.eq_ignore_ascii_case("wal") => StoreMode::Wal,
-            _ => StoreMode::Files,
-        };
         let dir = std::env::var(ENV_STORE_DIR).unwrap_or_else(|_| DEFAULT_DIR.to_string());
-        RunStore::open_mode(dir, mode)
+        RunStore::open(dir)
             .ok()
             .map(|s| s.with_chaos(chaos::global()))
     }
@@ -267,27 +205,6 @@ impl RunStore {
     /// The directory this store reads and writes.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Which backend this handle persists through.
-    pub fn mode(&self) -> StoreMode {
-        if self.wal.is_some() {
-            StoreMode::Wal
-        } else {
-            StoreMode::Files
-        }
-    }
-
-    /// What replay-on-open found and repaired (WAL mode only).
-    pub fn replay_report(&self) -> Option<&ReplayReport> {
-        self.replay.as_ref()
-    }
-
-    /// Rewrites the live WAL records into fresh segments and retires
-    /// the old ones (see [`Wal::compact`]). In file mode there is
-    /// nothing to compact and `None` is returned.
-    pub fn compact(&self) -> Option<Result<wal::CompactReport, wal::AppendError>> {
-        self.wal.as_ref().map(|w| w.compact())
     }
 
     /// Live hit/miss/write counters.
@@ -379,74 +296,9 @@ impl RunStore {
         true
     }
 
-    /// Loads raw value bytes from the WAL index, with the same
-    /// chaos-read and miss accounting file mode applies.
-    fn wal_load(&self, wal: &Wal, kind: ValueKind, key: &str) -> Option<Vec<u8>> {
-        if self.chaos_roll("store.read") {
-            self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-            return None; // injected read I/O error: a clean miss
-        }
-        match wal.get(kind, key) {
-            Some(bytes) => Some(bytes),
-            None => {
-                self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// A replayed WAL value failed to decode at the wire layer (version
-    /// skew, foreign bytes): preserve it for autopsy and evict the slot
-    /// so it becomes a miss, mirroring file-mode quarantine.
-    fn wal_invalid(&self, wal: &Wal, kind: ValueKind, key: &str, label: &str, why: &str) {
-        self.metrics.invalid.fetch_add(1, Ordering::Relaxed);
-        self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(bytes) = wal.evict(kind, key) {
-            wal.quarantine_value(label, &bytes, why);
-            self.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Maps one WAL append outcome onto the store metrics.
-    fn wal_count_put(&self, outcome: Result<(), AppendError>) -> bool {
-        match outcome {
-            Ok(()) => {
-                self.metrics.writes.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(AppendError::Verify) => {
-                self.metrics.verify_failures.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Err(_) => {
-                self.metrics.write_failures.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-
     /// Loads the run stored under `key`, if present and valid.
     /// Undecodable entries are quarantined and count as misses.
     pub fn load_run(&self, key: &str) -> Option<RunResult> {
-        if let Some(wal) = &self.wal {
-            let bytes = self.wal_load(wal, ValueKind::Run, key)?;
-            return match wire::decode_run(&bytes) {
-                Ok(run) => {
-                    self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(run)
-                }
-                Err(e) => {
-                    self.wal_invalid(
-                        wal,
-                        ValueKind::Run,
-                        key,
-                        &format!("{key}.run"),
-                        &format!("{e:?}"),
-                    );
-                    None
-                }
-            };
-        }
         let path = self.path_for(key, "run");
         let bytes = self.load_bytes(&path)?;
         match wire::decode_run(&bytes) {
@@ -463,34 +315,12 @@ impl RunStore {
 
     /// Persists `run` under `key`; `true` once it is verified on disk.
     pub fn store_run(&self, key: &str, run: &RunResult) -> bool {
-        if let Some(wal) = &self.wal {
-            return self.wal_count_put(wal.put(ValueKind::Run, key, &wire::encode_run(run)));
-        }
         self.store_bytes(&self.path_for(key, "run"), &wire::encode_run(run))
     }
 
     /// Loads the annotated run stored under `key`, if present and valid.
     /// Undecodable entries are quarantined and count as misses.
     pub fn load_annotated(&self, key: &str) -> Option<(RunResult, AnnotationSet)> {
-        if let Some(wal) = &self.wal {
-            let bytes = self.wal_load(wal, ValueKind::Annotated, key)?;
-            return match wire::decode_annotated(&bytes) {
-                Ok(pair) => {
-                    self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(pair)
-                }
-                Err(e) => {
-                    self.wal_invalid(
-                        wal,
-                        ValueKind::Annotated,
-                        key,
-                        &format!("{key}.ann"),
-                        &format!("{e:?}"),
-                    );
-                    None
-                }
-            };
-        }
         let path = self.path_for(key, "ann");
         let bytes = self.load_bytes(&path)?;
         match wire::decode_annotated(&bytes) {
@@ -508,13 +338,6 @@ impl RunStore {
     /// Persists an annotated run under `key`; `true` once it is
     /// verified on disk.
     pub fn store_annotated(&self, key: &str, run: &RunResult, set: &AnnotationSet) -> bool {
-        if let Some(wal) = &self.wal {
-            return self.wal_count_put(wal.put(
-                ValueKind::Annotated,
-                key,
-                &wire::encode_annotated(run, set),
-            ));
-        }
         self.store_bytes(
             &self.path_for(key, "ann"),
             &wire::encode_annotated(run, set),
@@ -532,24 +355,11 @@ impl RunStore {
     /// same run are kept: they are the fallback when this one turns out
     /// torn or corrupt on resume.
     pub fn store_checkpoint(&self, key: &str, epoch: u64, bytes: &[u8]) -> bool {
-        if let Some(wal) = &self.wal {
-            return self.wal_count_put(wal.put_ckpt(key, epoch, bytes));
-        }
         self.store_bytes(&self.checkpoint_path(key, epoch), bytes)
     }
 
     /// Lists the checkpoint segments of run `key`, ascending by epoch.
-    ///
-    /// In WAL mode checkpoints live inside log segments, not per-epoch
-    /// files; the path reported there is the WAL directory itself.
     pub fn list_checkpoints(&self, key: &str) -> Vec<(u64, PathBuf)> {
-        if let Some(wal) = &self.wal {
-            return wal
-                .ckpt_epochs(key)
-                .into_iter()
-                .map(|e| (e, wal.dir().to_path_buf()))
-                .collect();
-        }
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return Vec::new();
         };
@@ -573,25 +383,6 @@ impl RunStore {
     /// falls back to the previous segment, so a resume never sees
     /// garbage — at worst it restarts from an older epoch or cold.
     pub fn load_latest_checkpoint(&self, key: &str) -> Option<(u64, Vec<u8>)> {
-        if let Some(wal) = &self.wal {
-            for epoch in wal.ckpt_epochs(key).into_iter().rev() {
-                if self.chaos_roll("store.read") {
-                    self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-                    continue; // injected read error: fall back one epoch
-                }
-                let Some(bytes) = wal.get_ckpt(key, epoch) else {
-                    continue;
-                };
-                match decode_framed(&bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION) {
-                    Ok(_) => {
-                        self.metrics.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some((epoch, bytes));
-                    }
-                    Err(e) => self.quarantine_checkpoint(key, epoch, &format!("{e:?}")),
-                }
-            }
-            return None;
-        }
         for (epoch, path) in self.list_checkpoints(key).into_iter().rev() {
             let Some(bytes) = self.load_bytes(&path) else {
                 continue;
@@ -611,9 +402,6 @@ impl RunStore {
     /// `(key, epoch, size_bytes)`, sorted by key then epoch (the
     /// `ramp-store ckpt` listing).
     pub fn all_checkpoints(&self) -> Vec<(String, u64, u64)> {
-        if let Some(wal) = &self.wal {
-            return wal.ckpts_all();
-        }
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return Vec::new();
         };
@@ -635,38 +423,12 @@ impl RunStore {
     /// restore (the frame decoded, but the state inside was rejected —
     /// e.g. a checkpoint from a different run landing under this key).
     pub fn quarantine_checkpoint(&self, key: &str, epoch: u64, why: &str) {
-        if let Some(wal) = &self.wal {
-            self.metrics.invalid.fetch_add(1, Ordering::Relaxed);
-            self.metrics.misses.fetch_add(1, Ordering::Relaxed);
-            // Log the delete best-effort, but evict unconditionally:
-            // resume must never spin on a checkpoint it just rejected.
-            let _ = wal.del_ckpt(key, epoch);
-            if let Some(bytes) = wal.evict_ckpt(key, epoch) {
-                wal.quarantine_value(&format!("{key}-e{epoch:08}"), &bytes, why);
-                self.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
         self.note_invalid(&self.checkpoint_path(key, epoch), why);
     }
 
     /// Deletes every checkpoint segment of run `key` (a completed run
     /// no longer needs its resume trail). Returns how many were removed.
     pub fn remove_checkpoints(&self, key: &str) -> usize {
-        if let Some(wal) = &self.wal {
-            // Log the trail delete best-effort; evict unconditionally so
-            // this process stops seeing the trail either way. If the
-            // delete record did not land, replay resurrects a stale
-            // trail — harmless, since the completed run is served warm
-            // ahead of any resume attempt.
-            let before = wal.ckpt_epochs(key).len();
-            if before == 0 {
-                return 0;
-            }
-            let _ = wal.del_ckpt_trail(key);
-            wal.evict_ckpt_trail(key);
-            return before;
-        }
         let mut removed = 0;
         for (_, path) in self.list_checkpoints(key) {
             if fs::remove_file(&path).is_ok() {
@@ -686,9 +448,6 @@ impl RunStore {
     /// letting them accumulate. Deterministic order (sorted by file
     /// name); never panics on foreign files.
     pub fn scrub(&self) -> ScrubReport {
-        if let Some(wal) = &self.wal {
-            return self.scrub_wal(wal);
-        }
         let mut report = ScrubReport::default();
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return report;
@@ -777,113 +536,11 @@ impl RunStore {
         report
     }
 
-    /// The WAL-mode scrub: validates every live index value, reclaims
-    /// orphaned checkpoint trails, and sweeps stale manifest temp files.
-    /// (Segment-level damage is healed by replay-on-open, so a live
-    /// handle only ever scrubs whole records.)
-    fn scrub_wal(&self, wal: &Wal) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        for kind in [ValueKind::Run, ValueKind::Annotated] {
-            for key in wal.value_keys(kind) {
-                report.scanned += 1;
-                let Some(bytes) = wal.get(kind, &key) else {
-                    continue;
-                };
-                let (label, decoded) = match kind {
-                    ValueKind::Run => (
-                        format!("{key}.run"),
-                        wire::decode_run(&bytes)
-                            .map(|_| ())
-                            .map_err(|e| format!("{e:?}")),
-                    ),
-                    ValueKind::Annotated => (
-                        format!("{key}.ann"),
-                        wire::decode_annotated(&bytes)
-                            .map(|_| ())
-                            .map_err(|e| format!("{e:?}")),
-                    ),
-                };
-                match decoded {
-                    Ok(()) => report.valid += 1,
-                    Err(why) => {
-                        wal.evict(kind, &key);
-                        wal.quarantine_value(&label, &bytes, &why);
-                        self.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-                        report.quarantined += 1;
-                    }
-                }
-            }
-        }
-        for (key, epoch, _) in wal.ckpts_all() {
-            report.scanned += 1;
-            let Some(bytes) = wal.get_ckpt(&key, epoch) else {
-                continue;
-            };
-            match decode_framed(&bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION) {
-                Ok(_) => report.valid += 1,
-                Err(e) => {
-                    let _ = wal.del_ckpt(&key, epoch);
-                    wal.evict_ckpt(&key, epoch);
-                    wal.quarantine_value(&format!("{key}-e{epoch:08}"), &bytes, &format!("{e:?}"));
-                    self.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-                    report.quarantined += 1;
-                }
-            }
-        }
-        // Orphaned trails: checkpoints whose base entry is gone. Count
-        // before deleting — the logged delete already empties the index.
-        for key in wal.ckpt_keys() {
-            if wal.get(ValueKind::Run, &key).is_none()
-                && wal.get(ValueKind::Annotated, &key).is_none()
-            {
-                let trail = wal.ckpt_epochs(&key).len() as u64;
-                let _ = wal.del_ckpt_trail(&key);
-                wal.evict_ckpt_trail(&key);
-                report.orphaned += trail;
-            }
-        }
-        // Quarantine artifacts and stale manifest temps in the WAL dir.
-        if let Ok(entries) = fs::read_dir(wal.dir()) {
-            let mut names: Vec<String> = entries
-                .flatten()
-                .filter_map(|e| e.file_name().to_str().map(str::to_string))
-                .collect();
-            names.sort();
-            for name in names {
-                if name.ends_with(".quarantine") || name.ends_with(".reason") {
-                    report.scanned += 1;
-                    report.already_quarantined += 1;
-                } else if name.starts_with("MANIFEST.tmp-") {
-                    report.scanned += 1;
-                    if fs::remove_file(wal.dir().join(&name)).is_ok() {
-                        report.tmp_removed += 1;
-                    }
-                }
-            }
-        }
-        report
-    }
-
     /// Read-only validation of the whole store: decodes every entry
-    /// (file mode) or re-scans the manifest and every segment from disk
-    /// (WAL mode) without repairing anything. A clean store reports no
-    /// errors; the `ramp-store verify` subcommand exits non-zero
-    /// otherwise.
+    /// without repairing anything. A clean store reports no errors; the
+    /// `ramp-store verify` subcommand exits non-zero otherwise.
     pub fn verify(&self) -> VerifyReport {
-        if let Some(wal) = &self.wal {
-            let w = wal.verify();
-            return VerifyReport {
-                mode: StoreMode::Wal,
-                entries: w.records,
-                valid: w.records,
-                segments: w.segments,
-                errors: w.errors,
-            };
-        }
-        let mut report = VerifyReport {
-            mode: StoreMode::Files,
-            ..VerifyReport::default()
-        };
+        let mut report = VerifyReport::default();
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return report;
         };
@@ -938,18 +595,11 @@ impl RunStore {
     pub fn stats(&self) -> StoreStats {
         let m = &self.metrics;
         let mut stats = StoreStats {
-            mode: self.mode(),
             hits: m.hits.load(Ordering::Relaxed),
             misses: m.misses.load(Ordering::Relaxed),
             writes: m.writes.load(Ordering::Relaxed),
             ..StoreStats::default()
         };
-        if let Some(wal) = &self.wal {
-            stats.runs = wal.value_keys(wal::ValueKind::Run).len() as u64;
-            stats.annotated = wal.value_keys(wal::ValueKind::Annotated).len() as u64;
-            stats.checkpoints = wal.ckpt_keys().len() as u64;
-            return stats;
-        }
         let Ok(entries) = fs::read_dir(&self.dir) else {
             return stats;
         };
@@ -1043,17 +693,13 @@ impl std::fmt::Display for ScrubReport {
 /// performed zero simulations" from it rather than from wall-clock.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreStats {
-    /// Which backend was counted.
-    pub mode: StoreMode,
-    /// Durable run entries (`.run` files / live WAL run records).
+    /// Durable run entries (`.run` files).
     pub runs: u64,
     /// Durable annotated entries.
     pub annotated: u64,
-    /// Checkpoint trails (file mode counts segments, WAL mode counts
-    /// keys with a live checkpoint).
+    /// Checkpoint segments (`.ckpt` files).
     pub checkpoints: u64,
-    /// Quarantined entries (file mode only; WAL quarantines live
-    /// outside the segment set).
+    /// Quarantined entries (`.quarantine` files).
     pub quarantined: u64,
     /// This handle's cache hits since open (volatile).
     pub hits: u64,
@@ -1067,8 +713,7 @@ impl std::fmt::Display for StoreStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "mode={} runs={} annotated={} checkpoints={} quarantined={} hits={} misses={} writes={}",
-            self.mode.label(),
+            "runs={} annotated={} checkpoints={} quarantined={} hits={} misses={} writes={}",
             self.runs,
             self.annotated,
             self.checkpoints,
@@ -1083,14 +728,10 @@ impl std::fmt::Display for StoreStats {
 /// What [`RunStore::verify`] found (read-only; nothing repaired).
 #[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
-    /// Which backend was verified.
-    pub mode: StoreMode,
-    /// Entries (file mode) or WAL records examined.
+    /// Entries examined.
     pub entries: u64,
     /// How many decoded cleanly.
     pub valid: u64,
-    /// Live WAL segments (0 in file mode).
-    pub segments: u64,
     /// Every defect, one human-readable line each. Empty == clean.
     pub errors: Vec<String>,
 }
@@ -1106,11 +747,9 @@ impl std::fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "mode={} entries={} valid={} segments={} errors={}",
-            self.mode.label(),
+            "entries={} valid={} errors={}",
             self.entries,
             self.valid,
-            self.segments,
             self.errors.len()
         )
     }
@@ -1131,15 +770,6 @@ pub(crate) mod testutil {
         let dir = std::env::temp_dir().join(format!("ramp-store-test-{}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         RunStore::open(dir).unwrap()
-    }
-
-    /// Like [`test_store`] but WAL-backed.
-    pub(crate) fn test_store_wal() -> RunStore {
-        let n = TEST_DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("ramp-store-wal-test-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        RunStore::open_wal(dir).unwrap()
     }
 }
 
@@ -1435,108 +1065,6 @@ mod tests {
     }
 
     #[test]
-    fn wal_mode_round_trips_and_reopens() {
-        let store = super::testutil::test_store_wal();
-        assert_eq!(store.mode(), StoreMode::Wal);
-        assert_eq!(store.replay_report().unwrap(), &ReplayReport::default());
-        let run = sample_run();
-        let cfg = SystemConfig::smoke_test();
-        let key = run_key(&cfg, RunKind::Static, "lbm", "x");
-        assert!(store.load_run(&key).is_none());
-        assert!(store.store_run(&key, &run));
-        let back = store.load_run(&key).expect("stored entry loads");
-        assert_eq!(back.ipc.to_bits(), run.ipc.to_bits());
-        assert_eq!(back.telemetry, run.telemetry);
-        assert_eq!(hits(&store), 1);
-        assert_eq!(store.metrics().writes.load(Ordering::Relaxed), 1);
-
-        let set = AnnotationSet {
-            structures: vec![(ramp_trace::Benchmark::Lbm, "grid".into())],
-            pinned: [ramp_sim::PageId(3)].into_iter().collect(),
-        };
-        assert!(store.store_annotated(&key, &run, &set));
-        let blob = ramp_sim::codec::encode_framed(CHECKPOINT_KIND, CHECKPOINT_VERSION, &[5; 16]);
-        assert!(store.store_checkpoint(&key, 1, &blob));
-        assert!(store.store_checkpoint(&key, 3, &blob));
-        assert_eq!(store.load_latest_checkpoint(&key).unwrap().0, 3);
-        assert_eq!(store.all_checkpoints().len(), 2);
-
-        // Reopen the same directory: everything replays.
-        let dir = store.dir().to_path_buf();
-        drop(store);
-        let store = RunStore::open_wal(&dir).unwrap();
-        assert_eq!(store.replay_report().unwrap().records, 4);
-        let back = store.load_run(&key).expect("replayed entry loads");
-        assert_eq!(wire::encode_run(&back), wire::encode_run(&run));
-        let (_, back_set) = store.load_annotated(&key).unwrap();
-        assert_eq!(back_set.pinned, set.pinned);
-        assert_eq!(store.load_latest_checkpoint(&key).unwrap().0, 3);
-        assert_eq!(store.remove_checkpoints(&key), 2);
-        assert!(store.list_checkpoints(&key).is_empty());
-        assert!(store.verify().ok());
-    }
-
-    #[test]
-    fn wal_mode_chaos_classifies_every_fault() {
-        // Mirror of the file-mode chaos invariants: every load is
-        // exactly one of hit/miss, served entries are bit-correct, and
-        // injected faults land in the failure counters — plus the WAL
-        // handle survives a torn-append poisoning without panicking.
-        let chaos = Arc::new(ramp_sim::chaos::Chaos::from_spec(5, "io=0.5").unwrap());
-        let store = super::testutil::test_store_wal().with_chaos(Some(chaos));
-        let run = sample_run();
-        let cfg = SystemConfig::smoke_test();
-        for i in 0..40 {
-            let key = run_key(&cfg, RunKind::Static, &format!("wl{i}"), "x");
-            store.store_run(&key, &run);
-            if let Some(back) = store.load_run(&key) {
-                assert_eq!(back.ipc.to_bits(), run.ipc.to_bits());
-                assert_eq!(back.telemetry, run.telemetry);
-            }
-        }
-        let m = store.metrics();
-        let hits = m.hits.load(Ordering::Relaxed);
-        let misses = m.misses.load(Ordering::Relaxed);
-        assert_eq!(hits + misses, 40, "each load is exactly one of hit/miss");
-        assert!(m.write_failures.load(Ordering::Relaxed) > 0);
-
-        // Reopen without chaos: every acked write (and only those)
-        // replays; the store verifies clean after the heal.
-        let dir = store.dir().to_path_buf();
-        let acked = m.writes.load(Ordering::Relaxed);
-        drop(store);
-        let store = RunStore::open_wal(&dir).unwrap();
-        let replay = store.replay_report().unwrap().clone();
-        assert!(replay.records >= acked, "acked {acked}, replayed {replay}");
-        assert!(store.verify().ok(), "{}", store.verify());
-    }
-
-    #[test]
-    fn wal_scrub_reclaims_orphaned_trails() {
-        let store = super::testutil::test_store_wal();
-        let cfg = SystemConfig::smoke_test();
-        let live = run_key(&cfg, RunKind::Migration, "lbm", "x");
-        let dead = run_key(&cfg, RunKind::Migration, "mcf", "x");
-        let blob = ramp_sim::codec::encode_framed(CHECKPOINT_KIND, CHECKPOINT_VERSION, &[7; 16]);
-        store.store_run(&live, &sample_run());
-        store.store_checkpoint(&live, 1, &blob);
-        store.store_checkpoint(&dead, 1, &blob);
-        store.store_checkpoint(&dead, 2, &blob);
-
-        let report = store.scrub();
-        assert_eq!(report.orphaned, 2);
-        assert_eq!(report.quarantined, 0);
-        assert!(store.list_checkpoints(&dead).is_empty());
-        assert_eq!(store.list_checkpoints(&live).len(), 1);
-        // The reclamation is durable: a reopen agrees.
-        let dir = store.dir().to_path_buf();
-        drop(store);
-        let store = RunStore::open_wal(&dir).unwrap();
-        assert!(store.list_checkpoints(&dead).is_empty());
-        assert_eq!(store.list_checkpoints(&live).len(), 1);
-    }
-
-    #[test]
     fn verify_is_read_only_and_classifies_damage() {
         let store = test_store();
         let run = sample_run();
@@ -1547,12 +1075,71 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let report = store.verify();
-        assert_eq!(report.mode, StoreMode::Files);
         assert_eq!(report.entries, 1);
         assert_eq!(report.valid, 0);
         assert_eq!(report.errors.len(), 1);
         // Read-only: the damaged file is still in place (scrub heals).
         assert!(path.exists());
+    }
+
+    #[test]
+    fn older_builds_log_directory_is_ignored_and_left_untouched() {
+        // Builds that had an append-only log backend kept it in a `wal/`
+        // subdirectory of the store. Such a directory is not part of
+        // the store: reads, counts, scrub and verify pass it by, and its
+        // bytes stay as they are until someone deletes it by hand.
+        let store = test_store();
+        let run = sample_run();
+        let cfg = SystemConfig::smoke_test();
+        let keys = [
+            run_key(&cfg, RunKind::Static, "lbm", "x"),
+            run_key(&cfg, RunKind::Static, "mcf", "x"),
+        ];
+        for key in &keys {
+            assert!(store.store_run(key, &run));
+        }
+        let old = store.dir().join("wal");
+        fs::create_dir_all(&old).unwrap();
+        let mut segment = wire::encode_run(&run);
+        segment.extend_from_slice(&wire::encode_run(&run)[..40]); // torn tail
+        fs::write(old.join("seg-00000001.wal"), &segment).unwrap();
+        fs::write(old.join("MANIFEST"), b"not a frame").unwrap();
+        let snapshot = || {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(&old)
+                .unwrap()
+                .flatten()
+                .map(|e| (e.path(), fs::read(e.path()).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let before = snapshot();
+
+        for key in &keys {
+            let back = store
+                .load_run(key)
+                .expect("entry next to the old directory loads");
+            assert_eq!(wire::encode_run(&back), wire::encode_run(&run));
+        }
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.runs,
+                stats.annotated,
+                stats.checkpoints,
+                stats.quarantined
+            ),
+            (2, 0, 0, 0)
+        );
+        assert_eq!(
+            store.scrub().to_string(),
+            "scanned=2 valid=2 quarantined=0 already=0 tmp=0 unknown=0 orphaned=0"
+        );
+        let verify = store.verify();
+        assert!(verify.ok(), "{verify}: {:?}", verify.errors);
+        assert_eq!((verify.entries, verify.valid), (2, 2));
+        assert_eq!(snapshot(), before, "the old directory was modified");
+        assert_eq!(before.len(), 2);
     }
 
     #[test]

@@ -31,10 +31,6 @@ pub const KIND_RUN: u8 = 1;
 /// Frame kind tag for an annotated run (result + annotation set).
 pub const KIND_ANNOTATED: u8 = 2;
 // Kind 3 is a simulation checkpoint (`ramp_core::system::CHECKPOINT_KIND`).
-/// Frame kind tag for one WAL segment record (see [`crate::wal`]).
-pub const KIND_WAL_RECORD: u8 = 4;
-/// Frame kind tag for the WAL manifest (see [`crate::wal`]).
-pub const KIND_WAL_MANIFEST: u8 = 5;
 
 const TAG_COUNTER: u8 = 0;
 const TAG_GAUGE: u8 = 1;

@@ -16,7 +16,7 @@ use ramp_core::system::{RunHooks, SystemSim};
 use ramp_serve::spec::{run_with_recovery_every, RunSpec};
 use ramp_serve::store::{RunKind, RunStore};
 use ramp_serve::wire;
-use ramp_sim::codec::{decode_framed_prefix, fnv1a64, ByteReader, MAGIC};
+use ramp_sim::codec::{decode_framed, fnv1a64, ByteReader, MAGIC};
 use ramp_trace::{Benchmark, Workload};
 
 const OLD_MAGIC: &[u8; 8] = b"RAMPSTOR";
@@ -27,41 +27,31 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Re-frames a run of back-to-back current frames (one store entry, or
-/// a whole WAL segment) in the old `RAMPSTOR` + FNV-1a layout, keeping
-/// every version, kind and payload byte.
-fn to_old_frames(mut bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len());
-    while !bytes.is_empty() {
-        let mut r = ByteReader::new(bytes);
-        assert_eq!(r.take(MAGIC.len()).unwrap(), MAGIC);
-        let version = r.u32().unwrap();
-        let kind = r.u8().unwrap();
-        let (payload, consumed) = decode_framed_prefix(bytes, kind, version).unwrap();
-        out.extend_from_slice(OLD_MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.push(kind);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        bytes = &bytes[consumed..];
-    }
+/// Re-frames one current store entry in the old `RAMPSTOR` + FNV-1a
+/// layout, keeping every version, kind and payload byte.
+fn to_old_frame(bytes: &[u8]) -> Vec<u8> {
+    let mut r = ByteReader::new(bytes);
+    assert_eq!(r.take(MAGIC.len()).unwrap(), MAGIC);
+    let version = r.u32().unwrap();
+    let kind = r.u8().unwrap();
+    let payload = decode_framed(bytes, kind, version).unwrap();
+    let mut out = OLD_MAGIC.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out
 }
 
-/// Rewrites every framed file under `dir` in the old layout; returns how
+/// Rewrites every framed file in `dir` in the old layout; returns how
 /// many files it rewrote.
 fn downgrade(dir: &Path) -> usize {
     let mut rewritten = 0;
     for entry in std::fs::read_dir(dir).unwrap().flatten() {
-        let path = entry.path();
-        if path.is_dir() {
-            rewritten += downgrade(&path);
-            continue;
-        }
-        let bytes = std::fs::read(&path).unwrap();
+        let bytes = std::fs::read(entry.path()).unwrap();
         if bytes.starts_with(&MAGIC) {
-            std::fs::write(&path, to_old_frames(&bytes)).unwrap();
+            std::fs::write(entry.path(), to_old_frame(&bytes)).unwrap();
             rewritten += 1;
         }
     }
@@ -69,15 +59,12 @@ fn downgrade(dir: &Path) -> usize {
 }
 
 /// `ramp-store verify` on `dir`: (exit success, stdout + stderr).
-fn verify(dir: &Path, mode: &str) -> (bool, String) {
+fn verify(dir: &Path) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ramp-store"))
         .arg("verify")
         .arg("--dir")
         .arg(dir)
-        .arg("--mode")
-        .arg(mode)
         .env_remove("RAMP_STORE_DIR")
-        .env_remove("RAMP_STORE_MODE")
         .output()
         .unwrap();
     let text = format!(
@@ -119,90 +106,44 @@ fn lookup(store: &RunStore, spec: &RunSpec, cfg: &SystemConfig) -> bool {
 /// Runs every spec cold, downgrades the store, and checks that the old
 /// entries are misses, that a re-run simulates them once with the cold
 /// bytes, and that a second re-run is served warm.
-fn exercise(tag: &str, open: fn(&Path) -> RunStore, mode: &str) {
+#[test]
+fn old_file_store_entries_are_misses_and_resimulate_once() {
     let cfg = tiny();
-    let dir = scratch(tag);
+    let dir = scratch("files");
     let cold: Vec<Vec<u8>> = {
-        let store = open(&dir);
+        let store = RunStore::open(&dir).unwrap();
         specs()
             .iter()
             .map(|s| wire::encode_run(&s.execute(&cfg, Some(&store))))
             .collect()
     };
-    assert!(
-        downgrade(&dir) >= specs().len(),
-        "{tag}: nothing to downgrade"
-    );
+    assert!(downgrade(&dir) >= specs().len(), "nothing to downgrade");
+    let (ok, text) = verify(&dir);
+    assert!(!ok, "verify passed an old-format store:\n{text}");
+    assert!(text.contains("BadMagic"), "{text}");
 
-    // Verification classifies the old entries (a copy, because a WAL
-    // open heals what it finds).
-    let copy = scratch(&format!("{tag}-verify"));
-    copy_dir(&dir, &copy);
-    let (ok, text) = verify(&copy, mode);
-    assert!(!ok, "{tag}: verify passed an old-format store:\n{text}");
-    match mode {
-        "files" => assert!(text.contains("BadMagic"), "{tag}:\n{text}"),
-        _ => assert!(
-            text.contains("healed on open") && text.contains("rebuilt=true"),
-            "{tag}:\n{text}"
-        ),
-    }
-    let _ = std::fs::remove_dir_all(&copy);
-
-    let store = open(&dir);
+    let store = RunStore::open(&dir).unwrap();
     for spec in specs() {
-        assert!(
-            !lookup(&store, &spec, &cfg),
-            "{tag}: old entry read as a hit"
-        );
+        assert!(!lookup(&store, &spec, &cfg), "old entry read as a hit");
     }
-    assert_eq!(store.stats().hits, 0, "{tag}");
+    assert_eq!(store.stats().hits, 0);
     let writes_before = store.stats().writes;
     for (spec, reference) in specs().iter().zip(&cold) {
         let run = spec.execute(&cfg, Some(&store));
-        assert_eq!(&wire::encode_run(&run), reference, "{tag}: re-run differs");
+        assert_eq!(&wire::encode_run(&run), reference, "re-run differs");
     }
     let writes = store.stats().writes;
-    assert!(writes > writes_before, "{tag}: re-run did not simulate");
+    assert!(writes > writes_before, "re-run did not simulate");
     for (spec, reference) in specs().iter().zip(&cold) {
-        assert!(
-            lookup(&store, spec, &cfg),
-            "{tag}: re-run entry is not warm"
-        );
+        assert!(lookup(&store, spec, &cfg), "re-run entry is not warm");
         let run = spec.execute(&cfg, Some(&store));
-        assert_eq!(
-            &wire::encode_run(&run),
-            reference,
-            "{tag}: warm bytes differ"
-        );
+        assert_eq!(&wire::encode_run(&run), reference, "warm bytes differ");
     }
-    assert_eq!(store.stats().writes, writes, "{tag}: warm re-run simulated");
+    assert_eq!(store.stats().writes, writes, "warm re-run simulated");
     drop(store);
-    let (ok, text) = verify(&dir, mode);
-    assert!(ok, "{tag}: store not sound after the re-run:\n{text}");
+    let (ok, text) = verify(&dir);
+    assert!(ok, "store not sound after the re-run:\n{text}");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn copy_dir(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap().flatten() {
-        let target = to.join(entry.file_name());
-        if entry.path().is_dir() {
-            copy_dir(&entry.path(), &target);
-        } else {
-            std::fs::copy(entry.path(), target).unwrap();
-        }
-    }
-}
-
-#[test]
-fn old_file_store_entries_are_misses_and_resimulate_once() {
-    exercise("files", |d| RunStore::open(d).unwrap(), "files");
-}
-
-#[test]
-fn old_wal_store_entries_are_misses_and_resimulate_once() {
-    exercise("wal", |d| RunStore::open_wal(d).unwrap(), "wal");
 }
 
 /// Runs `sim` with a checkpoint every epoch and kills it at
@@ -239,7 +180,7 @@ fn old_checkpoint_trail_is_ignored_and_a_new_one_resumes() {
     kill_at_epoch(build(), &store, key, 3);
     assert_eq!(store.list_checkpoints(key).len(), 2);
     assert_eq!(downgrade(&dir), 2);
-    let (ok, text) = verify(&dir, "files");
+    let (ok, text) = verify(&dir);
     assert!(!ok && text.contains("BadMagic"), "{text}");
 
     // The old trail is quarantined and the run starts cold.
@@ -254,7 +195,7 @@ fn old_checkpoint_trail_is_ignored_and_a_new_one_resumes() {
     assert!(resumed, "did not resume from a current checkpoint");
     assert_eq!(wire::encode_run(&run), reference);
     drop(store);
-    let (ok, text) = verify(&dir, "files");
+    let (ok, text) = verify(&dir);
     assert!(ok, "{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,12 +29,8 @@
 //! and the same seed always injects the same faults at the same rolls.
 //!
 //! Sites currently wired in (the set is open — a site is just a name):
-//! `store.read` / `store.write` / `store.corrupt` (file-mode run
-//! store), `wal.append` / `wal.torn` / `wal.manifest` /
-//! `wal.manifest.corrupt` (WAL-mode segments and manifest; `wal.torn`
-//! truncates the freshly appended record to simulate a kill mid-append,
-//! `wal.manifest.corrupt` damages the manifest bytes before the atomic
-//! swap), `sim.checkpoint` (kill after a durable checkpoint),
+//! `store.read` / `store.write` / `store.corrupt` (run store),
+//! `sim.checkpoint` (kill after a durable checkpoint),
 //! `server.job` / `server.response` (dispatcher and response writer),
 //! `server.worker` (panic a worker thread outside its per-job
 //! isolation so the supervisor's restart path is exercised), and the

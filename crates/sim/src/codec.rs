@@ -372,50 +372,6 @@ pub fn decode_framed(bytes: &[u8], kind: u8, version: u32) -> Result<&[u8], Code
     Ok(payload)
 }
 
-/// Like [`decode_framed`], but for a frame at the *head* of a longer
-/// buffer: returns the payload slice and the total number of bytes the
-/// frame occupied, without rejecting trailing bytes. This is what an
-/// append-only log needs to scan records back-to-back.
-///
-/// A [`CodecError::Truncated`] here means the buffer ended mid-frame —
-/// for a log scan that is the torn-tail signal; any other error means
-/// the frame itself is damaged.
-pub fn decode_framed_prefix(
-    bytes: &[u8],
-    kind: u8,
-    version: u32,
-) -> Result<(&[u8], usize), CodecError> {
-    let mut r = ByteReader::new(bytes);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let found_version = r.u32()?;
-    if found_version != version {
-        return Err(CodecError::WrongVersion {
-            found: found_version,
-            expected: version,
-        });
-    }
-    let found_kind = r.u8()?;
-    if found_kind != kind {
-        return Err(CodecError::WrongKind {
-            found: found_kind,
-            expected: kind,
-        });
-    }
-    let len = r.u64()?;
-    if len > r.remaining() as u64 {
-        return Err(CodecError::Truncated);
-    }
-    let payload = r.take(len as usize).expect("length checked");
-    let checksum = r.u64()?;
-    if checksum != xxh64(payload) {
-        return Err(CodecError::BadChecksum);
-    }
-    let consumed = bytes.len() - r.remaining();
-    Ok((payload, consumed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,34 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn framed_prefix_scans_concatenated_records() {
-        let mut log = Vec::new();
-        log.extend_from_slice(&encode_framed(4, 1, b"first"));
-        log.extend_from_slice(&encode_framed(4, 1, b"second record"));
-        let (p1, n1) = decode_framed_prefix(&log, 4, 1).unwrap();
-        assert_eq!(p1, b"first");
-        let (p2, n2) = decode_framed_prefix(&log[n1..], 4, 1).unwrap();
-        assert_eq!(p2, b"second record");
-        assert_eq!(n1 + n2, log.len());
-        // A torn tail (truncated second record) reads as Truncated.
-        for cut in n1 + 1..log.len() {
-            assert_eq!(
-                decode_framed_prefix(&log[n1..cut], 4, 1).unwrap_err(),
-                CodecError::Truncated,
-                "cut {cut}"
-            );
-        }
-        // A corrupted payload byte reads as a checksum failure, not a
-        // truncation, so replay can tell damage from a torn tail.
-        let mut bad = log.clone();
-        bad[n1 + MAGIC.len() + 14] ^= 1;
-        assert_eq!(
-            decode_framed_prefix(&bad[n1..], 4, 1),
-            Err(CodecError::BadChecksum)
-        );
-    }
-
-    #[test]
     fn fnv_is_stable_and_seedable() {
         // Pinned values: store keys, shard routing and chaos seeds hash
         // with FNV-1a, so any drift here would move every key.
@@ -584,16 +512,11 @@ mod tests {
                     decode_framed(&framed[..cut], 2, 5).is_err(),
                     "n {n} cut {cut}"
                 );
-                assert!(
-                    decode_framed_prefix(&framed[..cut], 2, 5).is_err(),
-                    "n {n} cut {cut}"
-                );
             }
             let mut bad = framed.clone();
             for bit in 0..framed.len() * 8 {
                 bad[bit / 8] ^= 1 << (bit % 8);
                 assert!(decode_framed(&bad, 2, 5).is_err(), "n {n} bit {bit}");
-                assert!(decode_framed_prefix(&bad, 2, 5).is_err(), "n {n} bit {bit}");
                 bad[bit / 8] ^= 1 << (bit % 8);
             }
         }

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `run` parses the sweep spec, executes every point — locally on the
-//! work-stealing executor (store-deduped through `RAMP_STORE_DIR` /
-//! `RAMP_STORE_MODE`, thread count from `--threads` or `RAMP_THREADS`),
+//! work-stealing executor (store-deduped through `RAMP_STORE_DIR`,
+//! thread count from `--threads` or `RAMP_THREADS`),
 //! or fanned out to a running `ramp-served` or `ramp-router` with
 //! `--remote` (repeatable: the first endpoint is the primary, the rest
 //! are fallbacks the client rotates to when it is dead) — and

@@ -25,11 +25,15 @@
 //! axis fastest — so point indices are a pure function of the spec text.
 //! Every knob flows through [`SystemConfig::canonical_bytes`], so each
 //! point lands in its own content-addressed store slot.
+//! A grid may have at most [`MAX_GRID_POINTS`] points, and every
+//! axis may appear once.
 //!
 //! The TOML subset is deliberately tiny (the workspace is hermetic):
 //! `[section]` headers, `key = value` lines, strings, integers,
 //! booleans, one-line arrays, and `#` comments. That covers every sweep
 //! spec this repository ships; anything else is a parse error.
+
+use std::collections::BTreeMap;
 
 use ramp_core::config::SystemConfig;
 use ramp_core::migration::MigrationScheme;
@@ -37,6 +41,21 @@ use ramp_core::placement::PlacementPolicy;
 use ramp_serve::spec::{RunAction, RunSpec};
 use ramp_sim::SimRng;
 use ramp_trace::Workload;
+
+/// The [`SweepSpec::parse`] keys of the `[sweep]` section.
+const SWEEP_KEYS: [&str; 7] = [
+    "name", "strategy", "seed", "samples", "rungs", "base", "insts",
+];
+
+/// The most points a sweep's grid may have; [`SweepSpec::parse`] and
+/// [`SweepSpec::points`] reject a larger grid with an error. Every
+/// point is a full simulation, and the largest grid shipped (the
+/// benchmark's warm sweep) has 288 points. The bound also keeps parsing
+/// within the allocation limit the root `tests/properties.rs` checks
+/// (4× the spec's size plus 4 KiB): a policy token costs 40 bytes in
+/// memory and can be 9 in the spec, so a longer policy axis could
+/// outgrow the limit.
+pub const MAX_GRID_POINTS: usize = 1024;
 
 /// How the sweep walks its grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,27 +251,93 @@ pub fn parse_action(token: &str) -> Result<RunAction, String> {
 
 impl SweepSpec {
     /// Parses a sweep spec document (see the module docs for the format).
+    ///
+    /// The document is read line by line and nothing per line is kept,
+    /// so the memory a spec costs is bounded by its size: an axis list
+    /// is parsed twice (once to count, once to fill a vector of exactly
+    /// that length), and the grid check runs before an axis is stored.
     pub fn parse(text: &str) -> Result<SweepSpec, String> {
-        let doc = parse_toml_subset(text)?;
-        let sweep_str = |key: &str| -> Option<&str> {
-            doc.iter()
-                .find(|e| e.section == "sweep" && e.key == key)
-                .map(|e| e.value.as_str())
-        };
-        for entry in &doc {
-            match entry.section.as_str() {
-                "sweep" => {
-                    if !matches!(
-                        entry.key.as_str(),
-                        "name" | "strategy" | "seed" | "samples" | "rungs" | "base" | "insts"
-                    ) {
-                        return Err(format!("[sweep]: unknown key '{}'", entry.key));
+        let mut sweep: BTreeMap<&str, String> = BTreeMap::new();
+        let mut workloads = Vec::new();
+        let mut policies = Vec::new();
+        let mut knobs: Vec<KnobAxis> = Vec::new();
+        let mut axes: Vec<&str> = Vec::new();
+        let mut grid = 1usize;
+        for entry in toml_entries(text) {
+            let Entry {
+                section,
+                key,
+                value,
+            } = entry?;
+            match (section, value) {
+                ("sweep", value) => {
+                    if !SWEEP_KEYS.contains(&key) {
+                        return Err(format!("[sweep]: unknown key '{key}'"));
+                    }
+                    let Value::Scalar(value) = value else {
+                        return Err(format!("[sweep] {key} must not be an array"));
+                    };
+                    sweep.entry(key).or_insert(value);
+                }
+                ("axes", Value::Scalar(_)) => return Err(format!("[axes] {key} must be an array")),
+                ("axes", Value::List { inner, len }) => {
+                    if len == 0 {
+                        return Err(format!("[axes] {key} must be non-empty"));
+                    }
+                    if axes.contains(&key) {
+                        return Err(format!("[axes] duplicate axis '{key}'"));
+                    }
+                    axes.push(key);
+                    grid = grid
+                        .checked_mul(len)
+                        .filter(|&n| n <= MAX_GRID_POINTS)
+                        .ok_or_else(|| {
+                            format!("[axes] {key}: the grid exceeds {MAX_GRID_POINTS} points")
+                        })?;
+                    match key {
+                        "workload" => {
+                            workloads.reserve_exact(len);
+                            for v in array_items(inner) {
+                                let v = v?;
+                                workloads.push(
+                                    Workload::from_name(&v)
+                                        .ok_or_else(|| format!("[axes] unknown workload '{v}'"))?,
+                                );
+                            }
+                        }
+                        "policy" => {
+                            policies.reserve_exact(len);
+                            for v in array_items(inner) {
+                                let v = v?;
+                                let action =
+                                    parse_action(&v).map_err(|e| format!("[axes] policy: {e}"))?;
+                                policies.push((v, action));
+                            }
+                        }
+                        other => {
+                            let knob = Knob::from_name(other).ok_or_else(|| {
+                                format!(
+                                    "[axes] unknown axis '{other}' (workload, policy, or one of: {})",
+                                    KNOBS.map(|k| k.name()).join(", ")
+                                )
+                            })?;
+                            let mut values = Vec::with_capacity(len);
+                            for v in array_items(inner) {
+                                let v = v?;
+                                values.push(
+                                    v.parse::<u64>().map_err(|_| {
+                                        format!("[axes] {other}: bad integer '{v}'")
+                                    })?,
+                                );
+                            }
+                            knobs.push(KnobAxis { knob, values });
+                        }
                     }
                 }
-                "axes" => {}
-                other => return Err(format!("unknown section '[{other}]'")),
+                (other, _) => return Err(format!("unknown section '[{other}]'")),
             }
         }
+        let sweep_str = |key: &str| sweep.get(key).map(String::as_str);
         let name = sweep_str("name")
             .ok_or("[sweep] name is required")?
             .to_string();
@@ -293,57 +378,6 @@ impl SweepSpec {
         if let Some(insts) = parse_u64("insts")? {
             base.insts_per_core = insts;
         }
-
-        let mut workloads = Vec::new();
-        let mut policies = Vec::new();
-        let mut knobs: Vec<KnobAxis> = Vec::new();
-        for entry in doc.iter().filter(|e| e.section == "axes") {
-            let values = entry
-                .list
-                .as_ref()
-                .ok_or_else(|| format!("[axes] {} must be an array", entry.key))?;
-            if values.is_empty() {
-                return Err(format!("[axes] {} must be non-empty", entry.key));
-            }
-            match entry.key.as_str() {
-                "workload" => {
-                    for v in values {
-                        workloads.push(
-                            Workload::from_name(v)
-                                .ok_or_else(|| format!("[axes] unknown workload '{v}'"))?,
-                        );
-                    }
-                }
-                "policy" => {
-                    for v in values {
-                        let action = parse_action(v).map_err(|e| format!("[axes] policy: {e}"))?;
-                        policies.push((v.clone(), action));
-                    }
-                }
-                other => {
-                    let knob = Knob::from_name(other).ok_or_else(|| {
-                        format!(
-                            "[axes] unknown axis '{other}' (workload, policy, or one of: {})",
-                            KNOBS.map(|k| k.name()).join(", ")
-                        )
-                    })?;
-                    if knobs.iter().any(|a| a.knob == knob) {
-                        return Err(format!("[axes] duplicate axis '{other}'"));
-                    }
-                    let mut parsed = Vec::new();
-                    for v in values {
-                        parsed.push(
-                            v.parse::<u64>()
-                                .map_err(|_| format!("[axes] {other}: bad integer '{v}'"))?,
-                        );
-                    }
-                    knobs.push(KnobAxis {
-                        knob,
-                        values: parsed,
-                    });
-                }
-            }
-        }
         if workloads.is_empty() {
             return Err("[axes] workload axis is required".into());
         }
@@ -364,21 +398,29 @@ impl SweepSpec {
         })
     }
 
-    /// The size of the full cartesian grid.
+    /// The size of the full cartesian grid, `usize::MAX` when the
+    /// product of the axis lengths overflows.
     pub fn grid_len(&self) -> usize {
-        self.knobs
-            .iter()
-            .fold(self.workloads.len() * self.policies.len(), |n, axis| {
-                n * axis.values.len()
-            })
+        [self.workloads.len(), self.policies.len()]
+            .into_iter()
+            .chain(self.knobs.iter().map(|axis| axis.values.len()))
+            .try_fold(1usize, usize::checked_mul)
+            .unwrap_or(usize::MAX)
     }
 
     /// Enumerates the selected points of this sweep, in canonical order:
     /// the full grid for `grid`/`halving`, a seeded subsample for
     /// `random`. Duplicate store keys (identical points) are dropped,
     /// keeping the first occurrence. Every point's config is validated.
+    /// A grid of more than [`MAX_GRID_POINTS`] points is an error
+    /// (specs built in code skip [`SweepSpec::parse`], which checks it
+    /// first).
     pub fn points(&self) -> Result<Vec<SweepPoint>, String> {
-        let mut out = Vec::with_capacity(self.grid_len());
+        let grid = self.grid_len();
+        if grid > MAX_GRID_POINTS {
+            return Err(format!("the grid exceeds {MAX_GRID_POINTS} points"));
+        }
+        let mut out = Vec::with_capacity(grid);
         for wl in &self.workloads {
             for (_, action) in &self.policies {
                 let mut knob_values = vec![0u64; self.knobs.len()];
@@ -479,76 +521,76 @@ fn check_config(cfg: &SystemConfig) -> Result<(), String> {
 }
 
 /// One `key = value` entry of the TOML-subset document.
-struct Entry {
-    section: String,
-    key: String,
-    /// Scalar value (empty when the entry is an array).
-    value: String,
-    /// Array values, when the entry is `key = [..]`.
-    list: Option<Vec<String>>,
+struct Entry<'a> {
+    section: &'a str,
+    key: &'a str,
+    value: Value<'a>,
+}
+
+/// The value of one [`Entry`].
+enum Value<'a> {
+    /// A scalar in its text form (see [`parse_scalar`]).
+    Scalar(String),
+    /// A one-line array: the text between its brackets, whose `len`
+    /// items all parse (read them with [`array_items`]).
+    List { inner: &'a str, len: usize },
 }
 
 /// Parses the TOML subset: `[section]` headers, `key = value` lines
 /// with string/integer/float/bool scalars or one-line arrays, and `#`
-/// comments. Returns entries in document order (axis order matters).
-fn parse_toml_subset(text: &str) -> Result<Vec<Entry>, String> {
-    let mut out = Vec::new();
-    let mut section = String::new();
-    for (lineno, raw) in text.lines().enumerate() {
+/// comments. Yields entries in document order (axis order matters)
+/// without collecting them.
+fn toml_entries(text: &str) -> impl Iterator<Item = Result<Entry<'_>, String>> {
+    let mut section = "";
+    text.lines().enumerate().filter_map(move |(lineno, raw)| {
         let line = strip_comment(raw).trim();
         if line.is_empty() {
-            continue;
+            return None;
         }
         let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
         if let Some(h) = line.strip_prefix('[') {
-            let name = h
-                .strip_suffix(']')
-                .ok_or_else(|| err("unterminated section header"))?
-                .trim();
-            if name.is_empty() {
-                return Err(err("empty section name"));
-            }
-            section = name.to_string();
-            continue;
+            return match h.strip_suffix(']').map(str::trim) {
+                None => Some(Err(err("unterminated section header"))),
+                Some("") => Some(Err(err("empty section name"))),
+                Some(name) => {
+                    section = name;
+                    None
+                }
+            };
         }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| err("expected 'key = value'"))?;
-        let (key, value) = (key.trim(), value.trim());
-        if key.is_empty() {
-            return Err(err("empty key"));
-        }
-        if section.is_empty() {
-            return Err(err("entry before any [section] header"));
-        }
-        if let Some(inner) = value.strip_prefix('[') {
+        Some(parse_entry(section, line).map_err(|e| err(&e)))
+    })
+}
+
+/// Parses one non-header line of section `section`.
+fn parse_entry<'a>(section: &'a str, line: &'a str) -> Result<Entry<'a>, String> {
+    let (key, value) = line.split_once('=').ok_or("expected 'key = value'")?;
+    let (key, value) = (key.trim(), value.trim());
+    if key.is_empty() {
+        return Err("empty key".into());
+    }
+    if section.is_empty() {
+        return Err("entry before any [section] header".into());
+    }
+    let value = match value.strip_prefix('[') {
+        Some(inner) => {
             let inner = inner
                 .strip_suffix(']')
-                .ok_or_else(|| err("arrays must open and close on one line"))?;
-            let mut list = Vec::new();
-            for item in split_array_items(inner) {
-                let item = item.trim();
-                if item.is_empty() {
-                    continue;
-                }
-                list.push(parse_scalar(item).map_err(|e| err(&e))?);
+                .ok_or("arrays must open and close on one line")?;
+            let mut len = 0;
+            for item in array_items(inner) {
+                item?;
+                len += 1;
             }
-            out.push(Entry {
-                section: section.clone(),
-                key: key.to_string(),
-                value: String::new(),
-                list: Some(list),
-            });
-        } else {
-            out.push(Entry {
-                section: section.clone(),
-                key: key.to_string(),
-                value: parse_scalar(value).map_err(|e| err(&e))?,
-                list: None,
-            });
+            Value::List { inner, len }
         }
-    }
-    Ok(out)
+        None => Value::Scalar(parse_scalar(value)?),
+    };
+    Ok(Entry {
+        section,
+        key,
+        value,
+    })
 }
 
 /// Strips a `#` comment, honoring `"`-quoted strings.
@@ -564,23 +606,34 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// Splits array items on commas outside quoted strings.
-fn split_array_items(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut in_str = false;
-    for (i, b) in s.bytes().enumerate() {
-        match b {
-            b'"' => in_str = !in_str,
-            b',' if !in_str => {
-                out.push(&s[start..i]);
-                start = i + 1;
+/// The items of an array's inside, split on commas outside quoted
+/// strings, each parsed with [`parse_scalar`]; empty items are skipped.
+fn array_items(inner: &str) -> impl Iterator<Item = Result<String, String>> + '_ {
+    let mut rest = Some(inner);
+    std::iter::from_fn(move || loop {
+        let s = rest?;
+        let mut in_str = false;
+        let comma = s.bytes().position(|b| {
+            if b == b'"' {
+                in_str = !in_str;
             }
-            _ => {}
+            b == b',' && !in_str
+        });
+        let item = match comma {
+            Some(i) => {
+                rest = Some(&s[i + 1..]);
+                &s[..i]
+            }
+            None => {
+                rest = None;
+                s
+            }
+        };
+        let item = item.trim();
+        if !item.is_empty() {
+            return Some(parse_scalar(item));
         }
-    }
-    out.push(&s[start..]);
-    out
+    })
 }
 
 /// Parses a scalar: `"string"`, integer, float, or bool — all kept as
@@ -740,6 +793,64 @@ mod tests {
             .map(|k| full.iter().position(|p| &p.key() == k).unwrap())
             .collect();
         assert!(order.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// `[axes]` lines: one workload, one policy, then `knobs` knob axes of
+    /// `n` distinct values each.
+    fn knob_grid(knobs: usize, n: u64) -> String {
+        let mut text = "[sweep]\nname = \"x\"\nbase = \"smoke\"\n[axes]\n\
+                        workload = [\"lbm\"]\npolicy = [\"profile\"]\n"
+            .to_string();
+        for knob in &KNOBS[..knobs] {
+            let values: Vec<String> = (10_000..10_000 + n).map(|v| v.to_string()).collect();
+            text.push_str(&format!("{} = [{}]\n", knob.name(), values.join(",")));
+        }
+        text
+    }
+
+    #[test]
+    fn oversized_grids_are_errors_not_aborts() {
+        // Four 300-value axes: 8.1e9 points from a 7 KB spec, whose
+        // enumeration would ask for 1.6 TB up front.
+        let text = knob_grid(4, 300);
+        assert!((7_000..8_000).contains(&text.len()), "{}", text.len());
+        let err = SweepSpec::parse(&text)
+            .and_then(|s| s.points().map(|_| ()))
+            .unwrap_err();
+        assert!(err.contains("exceeds 1024 points"), "{err}");
+        // Seven 600-value axes: the point count overflows a u64.
+        let err = SweepSpec::parse(&knob_grid(7, 600))
+            .and_then(|s| s.points().map(|_| ()))
+            .unwrap_err();
+        assert!(err.contains("exceeds 1024 points"), "{err}");
+
+        // The bound itself is a valid grid; one point more is not.
+        let limit = MAX_GRID_POINTS as u64;
+        let spec = SweepSpec::parse(&knob_grid(1, limit)).unwrap();
+        assert_eq!(spec.points().unwrap().len(), MAX_GRID_POINTS);
+        assert!(SweepSpec::parse(&knob_grid(1, limit + 1)).is_err());
+
+        // A spec built in code skips `parse`; `points` still refuses.
+        let mut spec = SweepSpec::parse(&knob_grid(1, 2)).unwrap();
+        spec.knobs[0].values = (0..limit + 1).collect();
+        assert!(spec.points().unwrap_err().contains("exceeds"));
+        assert_eq!(spec.grid_len(), MAX_GRID_POINTS + 1);
+        spec.knobs.resize(7, spec.knobs[0].clone());
+        assert_eq!(spec.grid_len(), usize::MAX);
+        assert!(spec.points().is_err());
+    }
+
+    #[test]
+    fn every_axis_appears_once() {
+        for dup in [
+            "workload = [\"mcf\"]",
+            "policy = [\"balanced\"]",
+            "seed = [1]",
+        ] {
+            let text = format!("{}seed = [2]\n{dup}\n", knob_grid(0, 0));
+            let err = SweepSpec::parse(&text).unwrap_err();
+            assert!(err.contains("duplicate axis"), "{text:?}: {err}");
+        }
     }
 
     #[test]

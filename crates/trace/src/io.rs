@@ -1,4 +1,4 @@
-//! Trace (de)serialization: a compact binary format for captured CPU-level
+//! Trace (de)serialization: a dense binary format for captured CPU-level
 //! traces, so workloads can be recorded once and replayed elsewhere — the
 //! same role PinPlay trace files play in the paper's methodology.
 //!

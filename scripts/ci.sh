@@ -9,8 +9,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Optional stage selector. Without an argument the full hermetic gate
-# below runs (build + tests + golden/warm/chaos/checkpoint/sweep/wal/
-# shard smokes + bench-smoke). `bench` and `bench-smoke` run the performance scorecard
+# below runs (build + tests + golden/warm/chaos/checkpoint/sweep/shard
+# smokes + bench-smoke). `bench` and `bench-smoke` run the performance scorecard
 # gate on its own: re-measure the pinned kernel suite and the
 # all_experiments cold/warm probes, then compare against the committed
 # BENCH_0007.json (see DESIGN.md "Performance methodology"). Schema
@@ -30,57 +30,6 @@ bench_stage() {
         echo "==> scorecard check BENCH_0007.json --tol $tol"
         target/release/scorecard check BENCH_0007.json --tol "$tol"
     fi
-}
-# WAL durability gate (`wal-smoke`, also part of the full pipeline): the
-# same experiment must survive the WAL backend's whole failure menu with
-# byte-identical stdout throughout — injected append faults on a cold
-# run, a warm replay, a kill mid-append (simulated by tearing the tail
-# off the newest segment), compaction — and `ramp-store verify` must
-# report the store sound after every recovery (see DESIGN.md §11).
-wal_smoke_stage() {
-    local dir run_env seg size
-    dir="$(mktemp -d)"
-    # shellcheck disable=SC2064
-    trap "rm -rf '$dir'" RETURN
-    run_env=(RAMP_STORE_DIR="$dir/store" RAMP_STORE_MODE=wal
-        RAMP_WORKLOADS=lbm,mcf RAMP_INSTS=100000 RAMP_STATS=json)
-
-    echo "==> wal-smoke: cold run under injected WAL faults (seed 404)"
-    env "${run_env[@]}" RAMP_CHAOS="404:io=0.2,slow=1ms" \
-        target/release/fig05_perf_static > "$dir/cold.out" 2>/dev/null
-    echo "==> wal-smoke: warm replay is byte-identical, verify clean"
-    env "${run_env[@]}" target/release/fig05_perf_static \
-        > "$dir/warm.out" 2> "$dir/warm.err"
-    cmp "$dir/cold.out" "$dir/warm.out" \
-        || { echo "FAIL: WAL warm stdout differs from cold stdout"; exit 1; }
-    target/release/ramp-store verify --dir "$dir/store" --mode wal \
-        || { echo "FAIL: WAL store not sound after warm replay"; exit 1; }
-
-    echo "==> wal-smoke: kill mid-append (torn segment tail), reopen heals"
-    seg="$(ls "$dir/store/wal"/seg-*.wal | sort | tail -n1)"
-    size="$(wc -c < "$seg")"
-    [ "$size" -gt 9 ] || { echo "FAIL: newest WAL segment too small to tear"; exit 1; }
-    head -c "$((size - 9))" "$seg" > "$seg.torn" && mv "$seg.torn" "$seg"
-    env "${run_env[@]}" target/release/fig05_perf_static \
-        > "$dir/healed.out" 2>/dev/null
-    cmp "$dir/cold.out" "$dir/healed.out" \
-        || { echo "FAIL: stdout differs after torn-tail replay"; exit 1; }
-    target/release/ramp-store verify --dir "$dir/store" --mode wal \
-        || { echo "FAIL: WAL store not sound after torn-tail recovery"; exit 1; }
-
-    echo "==> wal-smoke: compaction preserves every fetch byte-for-byte"
-    target/release/ramp-store compact --dir "$dir/store" \
-        || { echo "FAIL: compaction failed"; exit 1; }
-    env "${run_env[@]}" target/release/fig05_perf_static \
-        > "$dir/compacted.out" 2> "$dir/compacted.err"
-    cmp "$dir/cold.out" "$dir/compacted.out" \
-        || { echo "FAIL: stdout differs after compaction"; exit 1; }
-    if grep -qE '^\[(profile|static)\]' "$dir/compacted.err"; then
-        echo "FAIL: post-compaction run simulated instead of hitting the WAL"
-        exit 1
-    fi
-    target/release/ramp-store verify --dir "$dir/store" --mode wal \
-        || { echo "FAIL: WAL store not sound after compaction"; exit 1; }
 }
 # Sweep gate (`sweep-smoke`, also part of the full pipeline): the pinned
 # 64-point examples/sweep_frontier.toml grid must produce byte-identical
@@ -237,13 +186,6 @@ sweep-smoke)
     sweep_smoke_stage
     exit 0
     ;;
-wal-smoke)
-    echo "==> cargo build --release (fig05_perf_static + ramp-store)"
-    cargo build --release --offline -p ramp-bench --bin fig05_perf_static
-    cargo build --release --offline -p ramp-serve --bin ramp-store
-    wal_smoke_stage
-    exit 0
-    ;;
 shard-smoke)
     echo "==> cargo build --release (fleet binaries)"
     cargo build --release --offline -p ramp-serve \
@@ -254,7 +196,7 @@ shard-smoke)
     ;;
 all) ;;
 *)
-    echo "usage: $0 [bench|bench-smoke|sweep-smoke|wal-smoke|shard-smoke]" >&2
+    echo "usage: $0 [bench|bench-smoke|sweep-smoke|shard-smoke]" >&2
     exit 2
     ;;
 esac
@@ -333,14 +275,21 @@ env "${WARM_ENV[@]}" RAMP_STORE_DIR="$CHAOS_DIR" RAMP_STATS=json \
 cmp "$STORE_DIR/cold.out" "$STORE_DIR/chaos1.out" \
     || { echo "FAIL: chaos stdout differs from fault-free stdout"; exit 1; }
 
-echo "==> chaos-smoke: scrub quarantines deliberate damage"
+# Besides a cut entry, plant the stray temp file a kill between a
+# write's create and its rename leaves behind: scrub must reclaim it.
+echo "==> chaos-smoke: scrub quarantines deliberate damage, reclaims a killed write's temp file"
 VICTIM="$(ls "$CHAOS_DIR"/*.run 2>/dev/null | head -n1 || true)"
 [ -n "$VICTIM" ] || { echo "FAIL: chaos store persisted nothing"; exit 1; }
 head -c 7 "$VICTIM" > "$VICTIM.cut" && mv "$VICTIM.cut" "$VICTIM"
+head -c 100 "$(ls "$CHAOS_DIR"/*.run | tail -n1)" > "$CHAOS_DIR/tmp-999999-0"
 target/release/ramp-store scrub --dir "$CHAOS_DIR" > "$STORE_DIR/scrub.out"
 cat "$STORE_DIR/scrub.out"
 grep -qE ' quarantined=[1-9]' "$STORE_DIR/scrub.out" \
     || { echo "FAIL: scrub did not quarantine the damaged entry"; exit 1; }
+grep -qE ' tmp=1 ' "$STORE_DIR/scrub.out" \
+    || { echo "FAIL: scrub did not reclaim exactly the one stray temp file"; exit 1; }
+[ ! -e "$CHAOS_DIR/tmp-999999-0" ] \
+    || { echo "FAIL: stray temp file survived scrub"; exit 1; }
 
 echo "==> chaos-smoke: healing replay (seed 202)"
 env "${WARM_ENV[@]}" RAMP_STORE_DIR="$CHAOS_DIR" RAMP_STATS=json \
@@ -391,9 +340,6 @@ wait "$SERVER_PID" || { echo "FAIL: chaos server exited non-zero"; exit 1; }
 
 # Sweep determinism gate (binaries already built above).
 sweep_smoke_stage
-
-# WAL durability gate (binaries already built above).
-wal_smoke_stage
 
 # Sharded-fleet gate (binaries already built above).
 shard_smoke_stage

@@ -431,16 +431,13 @@ fn mutate(g: &mut ramp::sim::check::Gen, bytes: &mut Vec<u8>) {
 /// fixed-size B-tree nodes. So a corrupt length never sizes an
 /// allocation.
 fn assert_decodes_cleanly(bytes: &[u8]) {
-    use ramp::serve::wire::{self, KIND_ANNOTATED, KIND_RUN, WIRE_VERSION};
-    use ramp::sim::codec::{decode_framed, decode_framed_prefix};
+    use ramp::serve::wire::{self, KIND_RUN, WIRE_VERSION};
+    use ramp::sim::codec::decode_framed;
 
     // The decoded values are dropped inside the measured calls.
     let limit = 4 * bytes.len() + 4096;
     assert_allocs_within(limit, "decode_framed", || {
         let _ = decode_framed(bytes, KIND_RUN, WIRE_VERSION);
-    });
-    assert_allocs_within(limit, "decode_framed_prefix", || {
-        let _ = decode_framed_prefix(bytes, KIND_ANNOTATED, WIRE_VERSION);
     });
     assert_allocs_within(limit, "decode_run", || {
         let _ = wire::decode_run(bytes);
@@ -608,5 +605,213 @@ fn hostile_http_messages_parse_cleanly_within_input_sized_allocations() {
         write_response_keep(&mut response, 200, &[("retry-after", "1")], &body, !close).unwrap();
         mutate(g, &mut response);
         assert_http_parses_cleanly(&response);
+    });
+}
+
+/// A short string over the characters JSON has to escape or re-decode:
+/// quotes, backslashes, control characters and multi-byte UTF-8.
+fn gen_text(g: &mut ramp::sim::check::Gen) -> String {
+    g.vec(0, 12, |g| {
+        *g.pick(&[
+            'a', 'Z', '0', ' ', '-', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', 'é', '€',
+            '😀',
+        ])
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Runs the flat-JSON reader on `body`: it must return `Ok` or an `Err`
+/// (a panic fails the case with its replay seed), within the decoders'
+/// allocation bound of 4× the input plus 4 KiB.
+fn assert_json_parses_cleanly(body: &str) {
+    use ramp::serve::json::parse_flat;
+
+    assert_allocs_within(4 * body.len() + 4096, "parse_flat", || {
+        let _ = parse_flat(body);
+    });
+}
+
+/// The flat-JSON reader under hostile bytes. Each case writes an object
+/// with `ObjWriter` (string, integer, float and boolean fields; floats
+/// from arbitrary bits, so NaN and infinities become `null`) and checks
+/// that every field parses back exactly, then feeds the reader random
+/// bytes or the body mutated.
+#[test]
+fn hostile_json_bodies_parse_cleanly_within_input_sized_allocations() {
+    use ramp::serve::json::{parse_flat, ObjWriter};
+
+    check("hostile_json_bodies_parse_cleanly", |g| {
+        let mut w = ObjWriter::new();
+        let mut floats = Vec::new();
+        let mut expect = std::collections::BTreeMap::new();
+        for i in 0..g.usize_in(0, 12) {
+            // The index suffix keeps keys distinct.
+            let key = format!("{}{i}", gen_text(g));
+            let text = match g.u64_below(4) {
+                0 => {
+                    let v = gen_text(g);
+                    w.str(&key, &v);
+                    v
+                }
+                1 => {
+                    let v = g.u64();
+                    w.u64(&key, v);
+                    v.to_string()
+                }
+                2 => {
+                    let v = f64::from_bits(g.u64());
+                    w.f64(&key, v);
+                    if v.is_finite() {
+                        floats.push((key.clone(), v));
+                    }
+                    "null".to_string()
+                }
+                _ => {
+                    let v = g.bool();
+                    w.bool(&key, v);
+                    v.to_string()
+                }
+            };
+            expect.insert(key, text);
+        }
+        let body = w.finish();
+        let mut fields = parse_flat(&body).unwrap();
+        for (key, v) in floats {
+            let back: f64 = fields[&key].parse().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{key:?}: {}", fields[&key]);
+            fields.insert(key, "null".to_string());
+        }
+        assert_eq!(fields, expect, "{body}");
+        assert_json_parses_cleanly(&body);
+
+        let mut bytes = if g.u64_below(4) == 0 {
+            g.vec(0, 600, |g| g.u8_in_inclusive(0, 255))
+        } else {
+            body.into_bytes()
+        };
+        mutate(g, &mut bytes);
+        assert_json_parses_cleanly(&String::from_utf8_lossy(&bytes));
+    });
+}
+
+/// Runs `SweepSpec::parse` on `text` within the same allocation bound;
+/// when it parses, enumerating the grid must return `Ok` or an `Err`
+/// (an allocation failure would abort the whole test binary).
+fn assert_spec_parses_cleanly(text: &str) {
+    use ramp::sweep::spec::{SweepSpec, MAX_GRID_POINTS};
+
+    let mut parsed = None;
+    assert_allocs_within(4 * text.len() + 4096, "SweepSpec::parse", || {
+        parsed = SweepSpec::parse(text).ok();
+    });
+    if let Some(spec) = parsed {
+        assert!(spec.grid_len() <= MAX_GRID_POINTS);
+        if let Ok(points) = spec.points() {
+            assert!(points.len() <= spec.grid_len());
+        }
+    }
+}
+
+/// The sweep spec reader under hostile text. Each case writes a spec
+/// (random strategy, base and counts, workload, policy and knob axes
+/// with now and then an unknown name, and an axis list of up to 3,000
+/// values a quarter of the time) and checks that the axes parse back in
+/// order; then feeds the reader random bytes or the spec mutated.
+#[test]
+fn hostile_sweep_specs_parse_cleanly_within_input_sized_allocations() {
+    use ramp::sweep::spec::{SweepSpec, KNOBS, MAX_GRID_POINTS};
+
+    let workloads = ["lbm", "mcf", "astar", "mix1", "mix5"];
+    let policies = [
+        "profile",
+        "annotated",
+        "rel-fc",
+        "perf-focused",
+        "static:wr2-ratio",
+        "migration:cross-counter",
+        "frac-hottest-0.25",
+    ];
+    // The largest allocation the grid bound admits: a full-size policy
+    // axis of the shortest token, 40 bytes in memory per 9 in the spec.
+    let shortest = vec!["\"rel-fc\""; MAX_GRID_POINTS].join(",");
+    let text =
+        format!("[sweep]\nname = \"w\"\n[axes]\nworkload = [\"lbm\"]\npolicy = [{shortest}]\n");
+    assert_eq!(SweepSpec::parse(&text).unwrap().grid_len(), MAX_GRID_POINTS);
+    assert_spec_parses_cleanly(&text);
+
+    let axis_names: Vec<&str> = KNOBS.iter().map(|k| k.name()).collect();
+    check("hostile_sweep_specs_parse_cleanly", |g| {
+        let len = |g: &mut ramp::sim::check::Gen| {
+            if g.u64_below(4) == 0 {
+                g.usize_in(200, 3000)
+            } else {
+                g.usize_in(1, 5)
+            }
+        };
+        // `n` drawn names; one time in eight, `bad` replaces one of them.
+        let axis = |g: &mut ramp::sim::check::Gen, names: &[&'static str], bad, n| {
+            let mut items: Vec<&str> = (0..n).map(|_| *g.pick(names)).collect();
+            if g.u64_below(8) == 0 {
+                items[g.usize_in(0, n)] = bad;
+            }
+            items
+        };
+        let mut text = format!("[sweep]\nname = \"s{}\"\n", g.u64_below(100));
+        for (key, value) in [
+            (
+                "strategy",
+                format!("\"{}\"", g.pick(&["grid", "random", "halving", "bogus"])),
+            ),
+            ("seed", g.u64().to_string()),
+            ("samples", g.u64_below(20).to_string()),
+            ("rungs", g.u64_below(4).to_string()),
+            ("base", format!("\"{}\"", g.pick(&["smoke", "table1"]))),
+            ("insts", g.u64_below(100_000).to_string()),
+        ] {
+            if g.bool() {
+                text.push_str(&format!("{key} = {value}\n"));
+            }
+        }
+        text.push_str("[axes]\n");
+        let n = len(g);
+        let wls = axis(g, &workloads, "mix9", n);
+        let n = len(g);
+        let pols = axis(g, &policies, "static:rel-fc", n);
+        let quoted = |items: &[&str]| {
+            let items: Vec<String> = items.iter().map(|s| format!("\"{s}\"")).collect();
+            items.join(", ")
+        };
+        text.push_str(&format!("workload = [{}]\n", quoted(&wls)));
+        text.push_str(&format!("policy = [{}]\n", quoted(&pols)));
+        let mut knobs = Vec::new();
+        for _ in 0..g.usize_in(0, 4) {
+            let name = axis(g, &axis_names, "cores", 1)[0];
+            let values: Vec<u64> = (0..len(g)).map(|_| g.u64_below(200_000)).collect();
+            let joined: Vec<String> = values.iter().map(u64::to_string).collect();
+            text.push_str(&format!("{name} = [{}]  # knob\n", joined.join(",")));
+            knobs.push((name, values));
+        }
+        if let Ok(spec) = SweepSpec::parse(&text) {
+            let names: Vec<&str> = spec.workloads.iter().map(|w| w.name()).collect();
+            assert_eq!(names, wls);
+            let tokens: Vec<&str> = spec.policies.iter().map(|p| p.0.as_str()).collect();
+            assert_eq!(tokens, pols);
+            let parsed: Vec<(&str, Vec<u64>)> = spec
+                .knobs
+                .iter()
+                .map(|a| (a.knob.name(), a.values.clone()))
+                .collect();
+            assert_eq!(parsed, knobs);
+        }
+        assert_spec_parses_cleanly(&text);
+
+        let mut bytes = if g.u64_below(4) == 0 {
+            g.vec(0, 600, |g| g.u8_in_inclusive(0, 255))
+        } else {
+            text.into_bytes()
+        };
+        mutate(g, &mut bytes);
+        assert_spec_parses_cleanly(&String::from_utf8_lossy(&bytes));
     });
 }
