@@ -72,7 +72,11 @@ pub struct RunResult {
     pub migrations: u64,
     /// Mean demand-read latency in cycles (HBM, DDR).
     pub mean_read_latency: (f64, f64),
-    /// Final per-page statistics (hotness, write ratio, AVF).
+    /// Final per-page statistics (hotness, write ratio, AVF), one row
+    /// per footprint page. Placement and migration read only a DDR-only
+    /// profile's table, so the run store persists the rows of DDR-only
+    /// runs alone: a result served from the store for any other run
+    /// carries a zero-row table that keeps `total_cycles`.
     pub table: StatsTable,
     /// Full telemetry snapshot of the run: DRAM, cache, migration, core
     /// and system scopes (deterministic; see `ramp_sim::telemetry`).

@@ -23,8 +23,9 @@
 //! ```
 //!
 //! `stats` is read-only: one greppable line counting what the store
-//! holds (`[stats] dir=... runs=12 annotated=1 ...`) — the
-//! sweep CI stage uses it to prove a warm re-sweep added nothing.
+//! holds (`[stats] dir=... runs=12 annotated=1 ... bytes=N`, where
+//! `bytes` sums the `.run` and `.ann` entries) — the sweep CI stage
+//! uses it to prove a warm re-sweep added and rewrote nothing.
 //!
 //! `ckpt` lists the checkpoint segments interrupted runs left behind
 //! (one `[ckpt] key=... epoch=... bytes=...` line per segment plus a

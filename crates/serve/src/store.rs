@@ -35,6 +35,14 @@
 //! checkpoint trails whose base run entry is missing or quarantined.
 //! Both look only at the files directly inside the store directory:
 //! subdirectories are never read, counted or touched.
+//!
+//! Only DDR-only runs (profiles and `static:ddr-only`) keep their
+//! per-page [`StatsTable`](ramp_avf::StatsTable) rows on disk: those
+//! tables are what placement and migration warm starts read. Every
+//! other `.run` and `.ann` entry is written with a zero-row table that
+//! keeps `total_cycles` (`keeps_rows`), which makes a typical entry
+//! ~60x smaller (DESIGN.md §7). The layout is unchanged, so entries
+//! written with full tables by earlier builds still decode as hits.
 
 use std::fs;
 use std::io::Write as _;
@@ -49,6 +57,7 @@ use ramp_sim::chaos::{self, Chaos, FaultKind};
 use ramp_sim::codec::{decode_framed, fnv1a64_seeded, ByteWriter};
 use ramp_sim::telemetry::StatRegistry;
 
+use crate::spec::PROFILE_POLICY;
 use crate::wire::{self, WIRE_VERSION};
 
 /// Bump to invalidate every existing store entry after a simulator
@@ -68,7 +77,9 @@ pub const DEFAULT_DIR: &str = "target/ramp-store";
 /// run of the same workload can never alias.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RunKind {
-    /// A DDR-only profiling run (produces the per-page stats table).
+    /// A DDR-only profiling run (produces the per-page stats table that
+    /// placement and migration read, and so keeps its table rows on
+    /// disk).
     Profile,
     /// A static placement run under some [`PlacementPolicy`] label.
     ///
@@ -121,6 +132,14 @@ pub fn run_key(cfg: &SystemConfig, kind: RunKind, workload: &str, policy: &str) 
     let a = fnv1a64_seeded(0xcbf2_9ce4_8422_2325, &bytes);
     let b = fnv1a64_seeded(a ^ 0x9e37_79b9_7f4a_7c15, &bytes);
     format!("{a:016x}{b:016x}")
+}
+
+/// Whether the store persists `run`'s per-page table rows: only for a
+/// DDR-only run (a profile, or the identical `static:ddr-only`), whose
+/// table the placement builders read. Every other entry is written with
+/// a zero-row table that keeps `total_cycles`.
+fn keeps_rows(run: &RunResult) -> bool {
+    run.policy == PROFILE_POLICY
 }
 
 /// Hit/miss/write counters of one store handle.
@@ -313,9 +332,13 @@ impl RunStore {
         }
     }
 
-    /// Persists `run` under `key`; `true` once it is verified on disk.
+    /// Persists `run` under `key`, its table rows only if it is a
+    /// DDR-only run; `true` once it is verified on disk.
     pub fn store_run(&self, key: &str, run: &RunResult) -> bool {
-        self.store_bytes(&self.path_for(key, "run"), &wire::encode_run(run))
+        self.store_bytes(
+            &self.path_for(key, "run"),
+            &wire::encode_run_entry(run, keeps_rows(run)),
+        )
     }
 
     /// Loads the annotated run stored under `key`, if present and valid.
@@ -335,12 +358,13 @@ impl RunStore {
         }
     }
 
-    /// Persists an annotated run under `key`; `true` once it is
+    /// Persists an annotated run under `key`, its table rows only if it
+    /// is a DDR-only run (an annotated run never is); `true` once it is
     /// verified on disk.
     pub fn store_annotated(&self, key: &str, run: &RunResult, set: &AnnotationSet) -> bool {
         self.store_bytes(
             &self.path_for(key, "ann"),
-            &wire::encode_annotated(run, set),
+            &wire::encode_annotated_entry(run, set, keeps_rows(run)),
         )
     }
 
@@ -605,10 +629,13 @@ impl RunStore {
         };
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
+            let size = || entry.metadata().map_or(0, |m| m.len());
             if name.ends_with(".run") {
                 stats.runs += 1;
+                stats.bytes += size();
             } else if name.ends_with(".ann") {
                 stats.annotated += 1;
+                stats.bytes += size();
             } else if name.ends_with(".ckpt") {
                 stats.checkpoints += 1;
             } else if name.ends_with(".quarantine") {
@@ -707,20 +734,23 @@ pub struct StoreStats {
     pub misses: u64,
     /// This handle's completed writes since open (volatile).
     pub writes: u64,
+    /// Summed size in bytes of the `.run` and `.ann` entries.
+    pub bytes: u64,
 }
 
 impl std::fmt::Display for StoreStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "runs={} annotated={} checkpoints={} quarantined={} hits={} misses={} writes={}",
+            "runs={} annotated={} checkpoints={} quarantined={} hits={} misses={} writes={} bytes={}",
             self.runs,
             self.annotated,
             self.checkpoints,
             self.quarantined,
             self.hits,
             self.misses,
-            self.writes
+            self.writes,
+            self.bytes
         )
     }
 }
@@ -786,6 +816,15 @@ mod tests {
         s.metrics().misses.load(Ordering::Relaxed)
     }
 
+    /// The form `store_run` persists a non-DDR-only `run` in: its table
+    /// rows cleared, `total_cycles` kept.
+    fn without_rows(run: &RunResult) -> RunResult {
+        RunResult {
+            table: ramp_avf::StatsTable::from_stats(Vec::new(), run.table.total_cycles()),
+            ..run.clone()
+        }
+    }
+
     #[test]
     fn keys_are_stable_and_discriminating() {
         let cfg = SystemConfig::smoke_test();
@@ -817,6 +856,88 @@ mod tests {
         assert_eq!(back.telemetry, run.telemetry);
         assert_eq!(hits(&store), 1);
         assert_eq!(store.metrics().writes.load(Ordering::Relaxed), 1);
+        // A static run is persisted without its table rows.
+        assert!(!keeps_rows(&run));
+        assert!(back.table.pages().is_empty());
+        assert_eq!(back.table.total_cycles(), run.table.total_cycles());
+        assert_eq!(
+            wire::encode_run(&back),
+            wire::encode_run(&without_rows(&run))
+        );
+        // `bytes` sums entries only, not checkpoints.
+        store.store_checkpoint(&key, 1, &[0; 8]);
+        let entry = fs::metadata(store.path_for(&key, "run")).unwrap().len();
+        assert_eq!(store.stats().bytes, entry);
+    }
+
+    #[test]
+    fn only_ddr_only_runs_keep_table_rows() {
+        let store = test_store();
+        let cfg = SystemConfig::smoke_test();
+        let set = AnnotationSet {
+            structures: vec![(ramp_trace::Benchmark::Lbm, "grid".into())],
+            pinned: [ramp_sim::PageId(3)].into_iter().collect(),
+        };
+        for policy in ["ddr-only", "perf-focused", "perf-fc", "annotations"] {
+            let run = RunResult {
+                policy: policy.into(),
+                ..sample_run()
+            };
+            let key = run_key(&cfg, RunKind::Static, "lbm", policy);
+            assert!(store.store_run(&key, &run));
+            assert!(store.store_annotated(&key, &run, &set));
+            let back = store.load_run(&key).unwrap();
+            let (ann, _) = store.load_annotated(&key).unwrap();
+            let expected = if policy == "ddr-only" {
+                run.clone()
+            } else {
+                without_rows(&run)
+            };
+            assert_eq!(keeps_rows(&run), policy == "ddr-only");
+            assert_eq!(wire::encode_run(&back), wire::encode_run(&expected));
+            assert_eq!(wire::encode_run(&ann), wire::encode_run(&expected));
+        }
+    }
+
+    #[test]
+    fn full_table_entries_from_older_builds_are_hits() {
+        // Earlier builds persisted every run with its full table, framed
+        // exactly like `wire::encode_run`. Such entries stay warm: the
+        // layout and version are unchanged, so they decode as hits with
+        // their rows intact and nothing simulates again.
+        let store = test_store();
+        let cfg = SystemConfig::smoke_test();
+        let run = sample_run();
+        assert!(!keeps_rows(&run) && run.table.pages().len() == 2);
+        let set = AnnotationSet {
+            structures: vec![(ramp_trace::Benchmark::Mcf, "nodes".into())],
+            pinned: [ramp_sim::PageId(7)].into_iter().collect(),
+        };
+        let key = run_key(&cfg, RunKind::Static, "lbm", "perf-focused");
+        let ann_key = run_key(&cfg, RunKind::Annotated, "lbm", "annotations");
+        fs::write(store.path_for(&key, "run"), wire::encode_run(&run)).unwrap();
+        fs::write(
+            store.path_for(&ann_key, "ann"),
+            wire::encode_annotated(&run, &set),
+        )
+        .unwrap();
+
+        let back = store.load_run(&key).expect("full-table entry is a hit");
+        assert_eq!(wire::encode_run(&back), wire::encode_run(&run));
+        assert_eq!(back.ipc.to_bits(), run.ipc.to_bits());
+        assert_eq!(back.ser_fit.to_bits(), run.ser_fit.to_bits());
+        assert_eq!(back.cycles, run.cycles);
+        assert_eq!(back.telemetry, run.telemetry);
+        assert_eq!(back.table.pages(), run.table.pages());
+        assert_eq!(back.table.total_cycles(), run.table.total_cycles());
+        let (ann, back_set) = store.load_annotated(&ann_key).expect("annotated hit");
+        assert_eq!(wire::encode_run(&ann), wire::encode_run(&run));
+        assert_eq!(back_set.pinned, set.pinned);
+        assert_eq!((hits(&store), misses(&store)), (2, 0));
+        assert_eq!(store.metrics().invalid.load(Ordering::Relaxed), 0);
+        let verify = store.verify();
+        assert!(verify.ok(), "{verify}: {:?}", verify.errors);
+        assert_eq!((verify.entries, verify.valid), (2, 2));
     }
 
     #[test]
@@ -1119,7 +1240,12 @@ mod tests {
             let back = store
                 .load_run(key)
                 .expect("entry next to the old directory loads");
-            assert_eq!(wire::encode_run(&back), wire::encode_run(&run));
+            assert_eq!(
+                wire::encode_run(&back),
+                wire::encode_run(&without_rows(&run))
+            );
+            assert!(back.table.pages().is_empty());
+            assert_eq!(back.table.total_cycles(), run.table.total_cycles());
         }
         let stats = store.stats();
         assert_eq!(

@@ -11,6 +11,13 @@
 //! `f64` fields travel as IEEE-754 bit patterns: a decoded result is
 //! *bit-identical* to the encoded one, which is what lets a warm-started
 //! experiment binary produce byte-identical stdout.
+//!
+//! [`encode_run`] and [`encode_annotated`] always write the full
+//! per-page table. The store writes its entries through crate-private
+//! variants that may leave the table's rows out (see
+//! `store::keeps_rows`): such an entry carries a zero-row table with the
+//! run's `total_cycles`, in the same layout, so the one decoder reads
+//! both.
 
 use std::collections::HashSet;
 
@@ -106,10 +113,13 @@ fn read_snapshot(r: &mut ByteReader) -> Result<Snapshot, CodecError> {
     Ok(snap)
 }
 
-fn write_table(w: &mut ByteWriter, table: &StatsTable) {
+/// Writes `table`; with `rows == false` only its `total_cycles` and an
+/// empty row list (a valid zero-row table to the decoder).
+fn write_table(w: &mut ByteWriter, table: &StatsTable, rows: bool) {
+    let pages = if rows { table.pages() } else { &[] };
     w.u64(table.total_cycles());
-    w.u32(table.pages().len() as u32);
-    for s in table.pages() {
+    w.u32(pages.len() as u32);
+    for s in pages {
         w.u64(s.page.0);
         w.u64(s.reads);
         w.u64(s.writes);
@@ -136,7 +146,7 @@ fn read_table(r: &mut ByteReader) -> Result<StatsTable, CodecError> {
     Ok(StatsTable::from_stats(stats, total_cycles))
 }
 
-fn write_run_payload(w: &mut ByteWriter, run: &RunResult) {
+fn write_run_payload(w: &mut ByteWriter, run: &RunResult, rows: bool) {
     w.str(&run.workload);
     w.str(&run.policy);
     w.f64(run.ipc);
@@ -154,7 +164,7 @@ fn write_run_payload(w: &mut ByteWriter, run: &RunResult) {
     w.u64(run.migrations);
     w.f64(run.mean_read_latency.0);
     w.f64(run.mean_read_latency.1);
-    write_table(w, &run.table);
+    write_table(w, &run.table, rows);
     write_snapshot(w, &run.telemetry);
 }
 
@@ -185,10 +195,17 @@ fn read_run_payload(r: &mut ByteReader) -> Result<RunResult, CodecError> {
     })
 }
 
-/// Encodes a run result as a framed, checksummed store entry.
+/// Encodes a run result as a framed, checksummed store entry, table
+/// rows included: the bit-exact fingerprint of a `RunResult`.
 pub fn encode_run(run: &RunResult) -> Vec<u8> {
+    encode_run_entry(run, true)
+}
+
+/// [`encode_run`] that writes the table's per-page rows only when
+/// `rows` (the store's choice; see `store::keeps_rows`).
+pub(crate) fn encode_run_entry(run: &RunResult, rows: bool) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    write_run_payload(&mut w, run);
+    write_run_payload(&mut w, run, rows);
     encode_framed(KIND_RUN, WIRE_VERSION, w.bytes())
 }
 
@@ -206,10 +223,17 @@ pub fn decode_run(bytes: &[u8]) -> Result<RunResult, CodecError> {
     Ok(run)
 }
 
-/// Encodes an annotated run (result plus its annotation set).
+/// Encodes an annotated run (result plus its annotation set), table
+/// rows included.
 pub fn encode_annotated(run: &RunResult, set: &AnnotationSet) -> Vec<u8> {
+    encode_annotated_entry(run, set, true)
+}
+
+/// [`encode_annotated`] that writes the table's per-page rows only
+/// when `rows`.
+pub(crate) fn encode_annotated_entry(run: &RunResult, set: &AnnotationSet, rows: bool) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    write_run_payload(&mut w, run);
+    write_run_payload(&mut w, run, rows);
     w.u32(set.structures.len() as u32);
     for (bench, name) in &set.structures {
         w.str(bench.name());

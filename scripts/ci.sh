@@ -37,7 +37,8 @@ bench_stage() {
 # 4 and 1 threads against the populated store must perform zero
 # simulations and reproduce the cold artifact byte for byte — asserted
 # both from the sweep's own `[sweep]` summary line and from the store's
-# run count staying put (see DESIGN.md §12).
+# run count and entry bytes (`ramp-store stats` ` runs=` and ` bytes=`)
+# staying put (see DESIGN.md §12).
 sweep_smoke_stage() {
     local dir before after threads
     dir="$(mktemp -d)"
@@ -55,7 +56,7 @@ sweep_smoke_stage() {
     grep -qE '^\[sweep\] points=64 ' "$dir/t1.out" \
         || { echo "FAIL: sweep did not evaluate the pinned 64 points"; exit 1; }
 
-    before="$(target/release/ramp-store stats --dir "$dir/store1" | grep -oE ' runs=[0-9]+')"
+    before="$(target/release/ramp-store stats --dir "$dir/store1" | grep -oE ' (runs|bytes)=[0-9]+' | tr -d '\n')"
     for threads in 4 1; do
         echo "==> sweep-smoke: warm re-sweep @ RAMP_THREADS=$threads performs zero simulations"
         RAMP_STORE_DIR="$dir/store1" RAMP_THREADS=$threads target/release/ramp-sweep \
@@ -65,9 +66,9 @@ sweep_smoke_stage() {
         cmp "$dir/t1.json" "$dir/warm$threads.json" \
             || { echo "FAIL: warm sweep artifact differs from cold artifact"; exit 1; }
     done
-    after="$(target/release/ramp-store stats --dir "$dir/store1" | grep -oE ' runs=[0-9]+')"
+    after="$(target/release/ramp-store stats --dir "$dir/store1" | grep -oE ' (runs|bytes)=[0-9]+' | tr -d '\n')"
     [ "$before" = "$after" ] \
-        || { echo "FAIL: warm re-sweep grew the store ($before -> $after)"; exit 1; }
+        || { echo "FAIL: warm re-sweep changed the store ($before -> $after)"; exit 1; }
 }
 # Sharded-fleet gate (`shard-smoke`, also part of the full pipeline):
 # three `ramp-served` shards fronted by `ramp-router` with replication
