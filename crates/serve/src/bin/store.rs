@@ -33,7 +33,8 @@
 //!
 //! `verify` decodes every entry, prints one line per problem and a
 //! summary, and exits 1 if anything is damaged — the CI gate for "the
-//! store on disk is byte-for-byte sound". It is read-only.
+//! store on disk is byte-for-byte sound" (`scripts/ci.sh sweep-smoke`
+//! runs it on both stores it builds). It is read-only.
 
 use ramp_serve::store::{RunStore, DEFAULT_DIR, ENV_STORE_DIR};
 

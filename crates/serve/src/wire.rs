@@ -18,8 +18,14 @@
 //! `store::keeps_rows`): such an entry carries a zero-row table with the
 //! run's `total_cycles`, in the same layout, so the one decoder reads
 //! both.
+//!
+//! The telemetry snapshot has one canonical encoding: scopes, and the
+//! stats inside each scope, in strictly increasing name order (the
+//! `BTreeMap` order the encoder walks). The decoder rejects swapped or
+//! duplicated names as [`CodecError::Malformed`], which lets it build
+//! each scope's map in one pass and insert it into the snapshot once.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use ramp_avf::{PageStats, StatsTable};
 use ramp_core::annotate::AnnotationSet;
@@ -63,12 +69,7 @@ fn write_snapshot(w: &mut ByteWriter, snap: &Snapshot) {
                 }
                 Stat::Histogram(h) => {
                     w.u8(TAG_HISTOGRAM);
-                    w.f64(h.lo());
-                    w.f64(h.hi());
-                    w.u32(h.counts().len() as u32);
-                    for &c in h.counts() {
-                        w.u64(c);
-                    }
+                    h.save_state(w);
                 }
                 Stat::Ratio { num, den } => {
                     w.u8(TAG_RATIO);
@@ -80,35 +81,51 @@ fn write_snapshot(w: &mut ByteWriter, snap: &Snapshot) {
     }
 }
 
+/// Reads a `u32`-length-prefixed UTF-8 name, borrowed from the payload,
+/// that must sort strictly after `prev` (canonical order: no duplicates,
+/// no swaps).
+fn read_sorted_name<'a>(
+    r: &mut ByteReader<'a>,
+    prev: Option<&str>,
+    what: &'static str,
+) -> Result<&'a str, CodecError> {
+    let len = r.u32()? as usize;
+    let name =
+        std::str::from_utf8(r.take(len)?).map_err(|_| CodecError::Malformed("non-UTF-8 string"))?;
+    if prev.is_some_and(|p| p >= name) {
+        return Err(CodecError::Malformed(what));
+    }
+    Ok(name)
+}
+
 fn read_snapshot(r: &mut ByteReader) -> Result<Snapshot, CodecError> {
     let mut snap = Snapshot::default();
-    let n_scopes = r.seq_len(4)?;
+    // Shortest scope: name length + stat count. Shortest stat: name
+    // length + tag + an 8-byte value.
+    let n_scopes = r.seq_len(8)?;
+    let mut prev_scope = None;
     for _ in 0..n_scopes {
-        let scope = r.str()?;
-        let n_stats = r.seq_len(5)?;
+        let scope = read_sorted_name(r, prev_scope, "scope names out of order")?;
+        prev_scope = Some(scope);
+        let n_stats = r.seq_len(13)?;
+        let mut stats = BTreeMap::new();
+        let mut prev_name = None;
         for _ in 0..n_stats {
-            let name = r.str()?;
+            let name = read_sorted_name(r, prev_name, "stat names out of order")?;
+            prev_name = Some(name);
             let stat = match r.u8()? {
                 TAG_COUNTER => Stat::Counter(r.u64()?),
                 TAG_GAUGE => Stat::Gauge(r.f64()?),
-                TAG_HISTOGRAM => {
-                    let lo = r.f64()?;
-                    let hi = r.f64()?;
-                    let bins = r.seq_len(8)?;
-                    let counts = (0..bins).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-                    Stat::Histogram(
-                        BinHistogram::from_parts(lo, hi, counts)
-                            .ok_or(CodecError::Malformed("bad histogram geometry"))?,
-                    )
-                }
+                TAG_HISTOGRAM => Stat::Histogram(BinHistogram::read_state(r)?),
                 TAG_RATIO => Stat::Ratio {
                     num: r.u64()?,
                     den: r.u64()?,
                 },
                 _ => return Err(CodecError::Malformed("unknown stat tag")),
             };
-            snap.insert(&scope, name, stat);
+            stats.insert(name.to_owned(), stat);
         }
+        snap.insert_scope(scope.to_owned(), stats);
     }
     Ok(snap)
 }
@@ -129,20 +146,27 @@ fn write_table(w: &mut ByteWriter, table: &StatsTable, rows: bool) {
     }
 }
 
+/// Bytes of one encoded table row: five `u64` fields and an `f64`.
+const ROW_BYTES: usize = 48;
+
 fn read_table(r: &mut ByteReader) -> Result<StatsTable, CodecError> {
     let total_cycles = r.u64()?;
-    let n = r.seq_len(48)?;
-    let mut stats = Vec::with_capacity(n);
-    for _ in 0..n {
-        stats.push(PageStats {
-            page: PageId(r.u64()?),
-            reads: r.u64()?,
-            writes: r.u64()?,
-            ace_hbm: r.u64()?,
-            ace_ddr: r.u64()?,
-            avf: r.f64()?,
-        });
-    }
+    let n = r.seq_len(ROW_BYTES)?;
+    let word = |row: &[u8], i: usize| {
+        u64::from_le_bytes(row[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+    };
+    let stats = r
+        .take(n * ROW_BYTES)?
+        .chunks_exact(ROW_BYTES)
+        .map(|row| PageStats {
+            page: PageId(word(row, 0)),
+            reads: word(row, 1),
+            writes: word(row, 2),
+            ace_hbm: word(row, 3),
+            ace_ddr: word(row, 4),
+            avf: f64::from_bits(word(row, 5)),
+        })
+        .collect();
     Ok(StatsTable::from_stats(stats, total_cycles))
 }
 
@@ -329,6 +353,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::sample_run;
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn assert_runs_equal(a: &RunResult, b: &RunResult) {
         assert_eq!(a.workload, b.workload);
@@ -370,6 +395,103 @@ mod tests {
         assert_runs_equal(&run, &back);
         assert_eq!(back_set.structures, set.structures);
         assert_eq!(back_set.pinned, set.pinned);
+    }
+
+    /// A run whose snapshot holds scope `scope.a` with stats `stat.a` and
+    /// `stat.b`, and scope `scope.b` with `stat.z`: names that each occur
+    /// once in its payload.
+    fn two_scope_run() -> RunResult {
+        let mut telemetry = Snapshot::default();
+        telemetry.insert("scope.a", "stat.a", Stat::Counter(1));
+        telemetry.insert("scope.a", "stat.b", Stat::Gauge(2.5));
+        telemetry.insert("scope.b", "stat.z", Stat::Ratio { num: 1, den: 3 });
+        RunResult {
+            telemetry,
+            ..sample_run()
+        }
+    }
+
+    /// `run`'s entry with each `(from, to)` name rewritten in place, all
+    /// positions found before any write, then re-framed so the payload
+    /// passes the checksum and reaches the snapshot decoder.
+    fn renamed_entry(run: &RunResult, renames: &[(&str, &str)]) -> Vec<u8> {
+        let entry = encode_run(run);
+        let mut payload = decode_framed(&entry, KIND_RUN, WIRE_VERSION)
+            .unwrap()
+            .to_vec();
+        let at: Vec<usize> = renames
+            .iter()
+            .map(|(from, to)| {
+                assert_eq!(from.len(), to.len());
+                let mut hits = payload.windows(from.len()).enumerate();
+                let (i, _) = hits.find(|(_, w)| *w == from.as_bytes()).unwrap();
+                assert!(hits.all(|(_, w)| w != from.as_bytes()), "{from} twice");
+                i
+            })
+            .collect();
+        for (&i, (_, to)) in at.iter().zip(renames) {
+            payload[i..i + to.len()].copy_from_slice(to.as_bytes());
+        }
+        encode_framed(KIND_RUN, WIRE_VERSION, &payload)
+    }
+
+    /// Swapped or duplicated scope or stat names: each entry is
+    /// `Malformed`, and through the store a miss that counts as invalid
+    /// and is quarantined.
+    #[test]
+    fn non_canonical_name_order_is_malformed() {
+        let run = two_scope_run();
+        assert_eq!(encode_run(&run), renamed_entry(&run, &[]));
+        assert_eq!(
+            decode_run(&encode_run(&run)).unwrap().telemetry,
+            run.telemetry
+        );
+        let cases: [&[(&str, &str)]; 4] = [
+            &[("scope.a", "scope.b"), ("scope.b", "scope.a")],
+            &[("scope.b", "scope.a")],
+            &[("stat.a", "stat.b"), ("stat.b", "stat.a")],
+            &[("stat.b", "stat.a")],
+        ];
+        let store = crate::store::testutil::test_store();
+        let m = store.metrics();
+        for (n, renames) in cases.into_iter().enumerate() {
+            let bytes = renamed_entry(&run, renames);
+            assert!(
+                matches!(decode_run(&bytes), Err(CodecError::Malformed(_))),
+                "{renames:?}"
+            );
+            let key = format!("{n:032x}");
+            let path = store.dir().join(format!("{key}.run"));
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(store.load_run(&key).is_none(), "{renames:?}");
+            assert!(!path.exists());
+            assert!(store.dir().join(format!("{key}.run.quarantine")).exists());
+        }
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!((count(&m.hits), count(&m.misses)), (0, 4));
+        assert_eq!((count(&m.invalid), count(&m.quarantined)), (4, 4));
+    }
+
+    /// A real-sized snapshot (a smoke-config run's ~300 stats, its
+    /// histograms observed) decodes to bytes identical to its encoding.
+    #[test]
+    fn real_snapshot_round_trips_byte_identically() {
+        let cfg = ramp_core::config::SystemConfig {
+            insts_per_core: 20_000,
+            ..ramp_core::config::SystemConfig::smoke_test()
+        };
+        let spec = crate::spec::RunSpec::parse("lbm", "static", "perf-focused").unwrap();
+        let run = spec.execute(&cfg, None);
+        let stats: usize = run.telemetry.scopes().map(|(_, s)| s.len()).sum();
+        assert!(stats > 200, "{stats} stats");
+        let observed = run.telemetry.scopes().flat_map(|(_, s)| s.values());
+        assert!(observed
+            .filter_map(Stat::as_histogram)
+            .any(|h| h.total() > 0));
+        let bytes = encode_run(&run);
+        let back = decode_run(&bytes).unwrap();
+        assert_eq!(back.telemetry, run.telemetry);
+        assert_eq!(encode_run(&back), bytes);
     }
 
     #[test]

@@ -141,10 +141,11 @@ impl BinHistogram {
         let lo = r.f64()?;
         let hi = r.f64()?;
         let n = r.seq_len(8)?;
-        let mut counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            counts.push(r.u64()?);
-        }
+        let counts = r
+            .take(n * 8)?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
         BinHistogram::from_parts(lo, hi, counts).ok_or(crate::codec::CodecError::Malformed(
             "bad histogram geometry",
         ))
@@ -352,13 +353,18 @@ impl Snapshot {
         self.scopes.get(scope)?.get(name)
     }
 
-    /// Inserts (or replaces) a stat — how the `ramp-serve` store decoder
-    /// rebuilds a snapshot from its serialized form.
+    /// Inserts (or replaces) one stat, creating its scope if needed.
     pub fn insert(&mut self, scope: impl Into<String>, name: impl Into<String>, stat: Stat) {
         self.scopes
             .entry(scope.into())
             .or_default()
             .insert(name.into(), stat);
+    }
+
+    /// Inserts (or replaces) a whole scope at once — how the `ramp-serve`
+    /// store decoder rebuilds a snapshot, one map insert per scope.
+    pub fn insert_scope(&mut self, scope: String, stats: BTreeMap<String, Stat>) {
+        self.scopes.insert(scope, stats);
     }
 
     /// Iterates scopes in sorted order.

@@ -38,7 +38,8 @@ bench_stage() {
 # simulations and reproduce the cold artifact byte for byte — asserted
 # both from the sweep's own `[sweep]` summary line and from the store's
 # run count and entry bytes (`ramp-store stats` ` runs=` and ` bytes=`)
-# staying put (see DESIGN.md §12).
+# staying put (see DESIGN.md §12). Both stores must then pass
+# `ramp-store verify`: every entry on disk decodes.
 sweep_smoke_stage() {
     local dir before after threads
     dir="$(mktemp -d)"
@@ -69,6 +70,11 @@ sweep_smoke_stage() {
     after="$(target/release/ramp-store stats --dir "$dir/store1" | grep -oE ' (runs|bytes)=[0-9]+' | tr -d '\n')"
     [ "$before" = "$after" ] \
         || { echo "FAIL: warm re-sweep changed the store ($before -> $after)"; exit 1; }
+    for store in store1 store4; do
+        echo "==> sweep-smoke: ramp-store verify $store"
+        target/release/ramp-store verify --dir "$dir/$store" \
+            || { echo "FAIL: ramp-store verify found damaged entries in $store"; exit 1; }
+    done
 }
 # Sharded-fleet gate (`shard-smoke`, also part of the full pipeline):
 # three `ramp-served` shards fronted by `ramp-router` with replication

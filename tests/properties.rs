@@ -2,9 +2,9 @@
 //! (in-tree `ramp::sim::check` harness): ECC algebra, AVF bounds,
 //! page-map consistency, MEA's frequent-element guarantee,
 //! trace-generator containment, telemetry invariants (histogram
-//! conservation, epoch monotonicity, merge/sequential equivalence), and
-//! the store's frame and wire decoders and the HTTP request and
-//! response parsers under hostile bytes.
+//! conservation, epoch monotonicity, merge/sequential equivalence),
+//! store-entry round trips, and the store's frame and wire decoders and
+//! the HTTP request and response parsers under hostile bytes.
 //!
 //! Each property runs 256 deterministic cases; on failure the harness
 //! prints the case's seed so `RAMP_PROP_SEED=<seed>` replays it alone.
@@ -383,7 +383,14 @@ fn gen_run(g: &mut ramp::sim::check::Gen) -> ramp::core::system::RunResult {
             let stat = match g.u64_below(3) {
                 0 => Stat::Counter(g.u64()),
                 1 => Stat::Gauge(g.f64_in(-1e9, 1e9)),
-                _ => Stat::Histogram(BinHistogram::new(0.0, 100.0, g.usize_in(1, 12))),
+                _ => {
+                    // Observed, so every decoded bin count is non-trivial.
+                    let mut h = BinHistogram::new(0.0, 100.0, g.usize_in(1, 12));
+                    for _ in 0..g.usize_in(0, 40) {
+                        h.observe(g.f64_in(-10.0, 110.0));
+                    }
+                    Stat::Histogram(h)
+                }
             };
             telemetry.insert(format!("scope{s}"), format!("stat{n}"), stat);
         }
@@ -405,6 +412,22 @@ fn gen_run(g: &mut ramp::sim::check::Gen) -> ramp::core::system::RunResult {
         table: StatsTable::from_stats(pages, g.u64()),
         telemetry,
     }
+}
+
+/// Store entries round-trip bit-exactly: a decoded run, histogram bin
+/// counts and table rows included, re-encodes to the same bytes.
+#[test]
+fn wire_entries_round_trip_bit_exactly() {
+    use ramp::serve::wire;
+
+    check("wire_entries_round_trip_bit_exactly", |g| {
+        let run = gen_run(g);
+        let bytes = wire::encode_run(&run);
+        let back = wire::decode_run(&bytes).unwrap();
+        assert_eq!(back.telemetry, run.telemetry);
+        assert_eq!(back.table.pages(), run.table.pages());
+        assert_eq!(wire::encode_run(&back), bytes);
+    });
 }
 
 /// Overwrites up to 5 bytes of `bytes`, then cuts or extends it.
