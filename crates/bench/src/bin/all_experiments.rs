@@ -4,22 +4,23 @@
 //! curated record of one full run.
 //!
 //! The experiment matrix is sharded across cores (`-j N`, `--threads N`
-//! or `RAMP_THREADS`; default all cores) by prewarming the harness caches
-//! through [`ramp_sim::exec`]; every figure is then formatted from cached
-//! results, so stdout is byte-identical at any thread count.
+//! or `RAMP_THREADS`; default all cores): one `Harness::prewarm` call
+//! resolves the whole matrix, and every figure is then formatted from
+//! the harness memo, so stdout is byte-identical at any thread count.
 
 use ramp_avf::{
     hotness_avf_correlation, hottest_pages, writeratio_avf_correlation, Quadrant, QuadrantAnalysis,
 };
 use ramp_bench::{
-    fmt_pct, fmt_x, geomean_or_one, migration_vs_perf, print_relative, print_table,
-    run_migration_memo, static_vs_perf, workloads, Harness,
+    fc_interval_sweep, fmt_pct, fmt_x, geomean_or_one, migration_vs_perf, print_relative,
+    print_table, specs, static_vs_perf, workloads, Harness,
 };
 use ramp_core::annotate::select_annotations;
 use ramp_core::hwcost;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
 use ramp_faultsim::{run_monte_carlo, RasConfig};
+use ramp_serve::spec::RunAction;
 use ramp_sim::exec::{parallel_map, StageTimer};
 use ramp_sim::stats::Histogram;
 use ramp_sim::SimRng;
@@ -40,12 +41,12 @@ const SWEEP_WLS: [Workload; 3] = [
 const SWEEP_INTERVALS: [u64; 4] = [100_000, 200_000, 400_000, 1_600_000];
 
 /// Shards every simulation of the suite across the worker pool; after
-/// this, the figure sections below only read caches.
+/// this, the figure sections below only read the harness memo.
 fn prewarm(h: &mut Harness, wls: &[Workload]) {
     eprintln!("sharding experiment matrix over {} threads", h.threads);
     let total = StageTimer::new("prewarm total");
-    h.prewarm_profiles(wls);
-    h.prewarm_static(
+    let mut jobs = specs(wls, &[RunAction::Profile]);
+    jobs.extend(specs(
         wls,
         &[
             PlacementPolicy::PerfFocused,
@@ -53,29 +54,28 @@ fn prewarm(h: &mut Harness, wls: &[Workload]) {
             PlacementPolicy::Balanced,
             PlacementPolicy::WrRatio,
             PlacementPolicy::Wr2Ratio,
-        ],
-    );
-    h.prewarm_static(
+        ]
+        .map(RunAction::Static),
+    ));
+    jobs.extend(specs(
         &FRONTIER_WLS,
-        &[0.0f64, 0.25, 0.5, 0.75, 1.0].map(PlacementPolicy::FracHottest),
-    );
-    h.prewarm_migration(
+        &[0.0f64, 0.25, 0.5, 0.75, 1.0].map(|f| RunAction::Static(PlacementPolicy::FracHottest(f))),
+    ));
+    jobs.extend(specs(
         wls,
         &[
             MigrationScheme::PerfFc,
             MigrationScheme::RelFc,
             MigrationScheme::CrossCounter,
-        ],
-    );
-    h.prewarm_annotated(wls);
+        ]
+        .map(RunAction::Migration),
+    ));
+    jobs.extend(specs(wls, &[RunAction::Annotated]));
+    h.prewarm(&jobs);
     total.finish();
 }
 
 fn main() {
-    // Config-sweep sections below rebuild harnesses whose default point
-    // matches the main config; memoize runs process-wide so a cold store
-    // never simulates the same (config, workload, policy) twice.
-    ramp_bench::enable_run_memo();
     let mut h = Harness::new();
     let wls = workloads();
     prewarm(&mut h, &wls);
@@ -372,32 +372,16 @@ fn main() {
     );
 
     // ---- Figure 13 ----------------------------------------------------
-    // The interval sweep uses per-task configs, so it shards directly
-    // through exec rather than the harness caches; results come back in
-    // input order, keeping the table deterministic.
+    // The interval sweep gives each point its own config; the points
+    // resolve together (memo, store, then parallel simulation) but stay
+    // out of the telemetry document.
     println!("\n\n## Figure 13: FC-interval sweep\n");
-    let sweep: Vec<(Workload, u64)> = SWEEP_WLS
+    let sweep_ipc = fc_interval_sweep(&mut h, &SWEEP_WLS, &SWEEP_INTERVALS);
+    let f13: Vec<Vec<String>> = SWEEP_WLS
         .iter()
-        .flat_map(|wl| SWEEP_INTERVALS.iter().map(move |&iv| (*wl, iv)))
+        .zip(sweep_ipc.chunks(SWEEP_INTERVALS.len()))
+        .map(|(wl, ipcs)| [&[wl.name().to_string()], ipcs].concat())
         .collect();
-    let sweep_profiles: Vec<_> = SWEEP_WLS.iter().map(|wl| h.profile(wl)).collect();
-    let sweep_ipc = {
-        let base_cfg = &h.cfg;
-        parallel_map(h.threads, sweep, |i, (wl, iv)| {
-            let mut cfg = base_cfg.clone();
-            cfg.fc_interval_cycles = *iv;
-            let profile = &sweep_profiles[i / SWEEP_INTERVALS.len()];
-            run_migration_memo(&cfg, wl, MigrationScheme::PerfFc, &profile.table).ipc
-        })
-    };
-    let mut f13 = Vec::new();
-    for (wi, wl) in SWEEP_WLS.iter().enumerate() {
-        let mut row = vec![wl.name().to_string()];
-        for ii in 0..SWEEP_INTERVALS.len() {
-            row.push(format!("{:.3}", sweep_ipc[wi * SWEEP_INTERVALS.len() + ii]));
-        }
-        f13.push(row);
-    }
     print_table(
         "Figure 13 (IPC per FC interval; paper: 100 ms = our 400k-cycle default is best)",
         &["workload", "100k", "200k", "400k (default)", "1.6M"],

@@ -5,12 +5,13 @@
 use ramp_avf::{
     hotness_avf_correlation, hottest_pages, writeratio_avf_correlation, Quadrant, QuadrantAnalysis,
 };
-use ramp_bench::{print_table, workloads, Harness};
+use ramp_bench::{print_table, specs, workloads, Harness};
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_profiles(&wls);
+    h.prewarm(&specs(&wls, &[RunAction::Profile]));
     let mut rows = Vec::new();
     for wl in wls {
         let r = h.profile(&wl);

@@ -4,17 +4,21 @@
 //! reliability of the system." We measure exactly that: annotations alone
 //! vs annotations + Cross-Counter migration of the unpinned capacity.
 
-use ramp_bench::{fmt_x, geomean_or_one, print_table, workloads, Harness};
+use ramp_bench::{fmt_x, geomean_or_one, print_table, specs, workloads, Harness};
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
 use ramp_core::runner::run_annotated_with_migration;
+use ramp_serve::spec::RunAction;
 use ramp_sim::exec::{parallel_map, StageTimer};
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_static(&wls, &[PlacementPolicy::PerfFocused]);
-    h.prewarm_annotated(&wls);
+    h.prewarm(&specs(
+        &wls,
+        &[PlacementPolicy::PerfFocused].map(RunAction::Static),
+    ));
+    h.prewarm(&specs(&wls, &[RunAction::Annotated]));
     let profiles: Vec<_> = wls.iter().map(|wl| h.profile(wl)).collect();
     let timer = StageTimer::new(format!(
         "annotated+CC x{} (threads={})",

@@ -3,12 +3,13 @@
 //! Paper: AVF varies from 1.7 % (astar) to 22.5 % (milc), motivating
 //! AVF-aware application-specific placement.
 
-use ramp_bench::{print_table, workloads, Harness};
+use ramp_bench::{print_table, specs, workloads, Harness};
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_profiles(&wls);
+    h.prewarm(&specs(&wls, &[RunAction::Profile]));
     let mut rows: Vec<(f64, String)> = wls
         .iter()
         .map(|wl| {

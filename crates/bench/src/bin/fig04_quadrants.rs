@@ -6,12 +6,13 @@
 //! with almost none.
 
 use ramp_avf::{Quadrant, QuadrantAnalysis};
-use ramp_bench::{fmt_pct, print_table, workloads, Harness};
+use ramp_bench::{fmt_pct, print_table, specs, workloads, Harness};
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_profiles(&wls);
+    h.prewarm(&specs(&wls, &[RunAction::Profile]));
     let mut rows = Vec::new();
     for wl in wls {
         let r = h.profile(&wl);

@@ -2,13 +2,17 @@
 //!
 //! Paper: 1.6x IPC boost and 287x SER increase relative to DDR-only.
 
-use ramp_bench::{fmt_x, geomean_or_one, print_table, workloads, Harness};
+use ramp_bench::{fmt_x, geomean_or_one, print_table, specs, workloads, Harness};
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_static(&wls, &[PlacementPolicy::PerfFocused]);
+    h.prewarm(&specs(
+        &wls,
+        &[PlacementPolicy::PerfFocused].map(RunAction::Static),
+    ));
     let mut rows = Vec::new();
     let mut ipcs = Vec::new();
     let mut sers = Vec::new();

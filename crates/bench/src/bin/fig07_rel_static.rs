@@ -4,16 +4,17 @@
 //! performance-focused placement; bandwidth-intensive workloads (left,
 //! high MPKI) lose the most; lbm and milc are outliers (-6 %, -1 %).
 
-use ramp_bench::{print_relative, static_vs_perf, workloads, Harness};
+use ramp_bench::{print_relative, specs, static_vs_perf, workloads, Harness};
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let all = workloads();
-    h.prewarm_static(
+    h.prewarm(&specs(
         &all,
-        &[PlacementPolicy::RelFocused, PlacementPolicy::PerfFocused],
-    );
+        &[PlacementPolicy::RelFocused, PlacementPolicy::PerfFocused].map(RunAction::Static),
+    ));
     let wls = h.workloads_by_mpki(&all);
     let rows = static_vs_perf(&mut h, &wls, PlacementPolicy::RelFocused);
     print_relative(

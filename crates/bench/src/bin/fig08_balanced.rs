@@ -2,16 +2,17 @@
 //!
 //! Paper: SER reduced 3x at 14 % performance loss vs performance-focused.
 
-use ramp_bench::{print_relative, static_vs_perf, workloads, Harness};
+use ramp_bench::{print_relative, specs, static_vs_perf, workloads, Harness};
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let all = workloads();
-    h.prewarm_static(
+    h.prewarm(&specs(
         &all,
-        &[PlacementPolicy::Balanced, PlacementPolicy::PerfFocused],
-    );
+        &[PlacementPolicy::Balanced, PlacementPolicy::PerfFocused].map(RunAction::Static),
+    ));
     let wls = h.workloads_by_mpki(&all);
     let rows = static_vs_perf(&mut h, &wls, PlacementPolicy::Balanced);
     print_relative(

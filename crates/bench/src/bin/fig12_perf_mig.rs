@@ -3,13 +3,17 @@
 //! Paper: 1.52x IPC (vs 1.6x static) and 268x SER relative to DDR-only;
 //! ~47k migrations per 100 ms interval at full scale.
 
-use ramp_bench::{fmt_x, geomean_or_one, print_table, workloads, Harness};
+use ramp_bench::{fmt_x, geomean_or_one, print_table, specs, workloads, Harness};
 use ramp_core::migration::MigrationScheme;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_migration(&wls, &[MigrationScheme::PerfFc]);
+    h.prewarm(&specs(
+        &wls,
+        &[MigrationScheme::PerfFc].map(RunAction::Migration),
+    ));
     let mut rows = Vec::new();
     let mut ipcs = Vec::new();
     let mut sers = Vec::new();

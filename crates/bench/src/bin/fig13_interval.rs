@@ -3,10 +3,7 @@
 //! Paper: sweeping the FC interval over three workloads of different
 //! memory intensity shows ~100 ms (scaled here to cycles) performs best.
 
-use ramp_bench::{print_table, Harness};
-use ramp_core::migration::MigrationScheme;
-use ramp_core::runner::run_migration;
-use ramp_sim::exec::parallel_map;
+use ramp_bench::{fc_interval_sweep, print_table, Harness};
 use ramp_trace::{Benchmark, MixId, Workload};
 
 fn main() {
@@ -18,36 +15,12 @@ fn main() {
         Workload::Homogeneous(Benchmark::Lbm),
     ];
     let intervals: [u64; 4] = [100_000, 200_000, 400_000, 1_600_000];
-    h.prewarm_profiles(&wls);
-    let profiles: Vec<_> = wls.iter().map(|wl| h.profile(wl)).collect();
-    // Per-task configs bypass the harness caches, so the sweep shards
-    // directly through exec; results return in input order.
-    let sweep: Vec<(Workload, u64)> = wls
+    let ipcs = fc_interval_sweep(&mut h, &wls, &intervals);
+    let rows: Vec<Vec<String>> = wls
         .iter()
-        .flat_map(|wl| intervals.iter().map(move |&iv| (*wl, iv)))
+        .zip(ipcs.chunks(intervals.len()))
+        .map(|(wl, ipcs)| [&[wl.name().to_string()], ipcs].concat())
         .collect();
-    let ipcs = {
-        let base_cfg = &h.cfg;
-        parallel_map(h.threads, sweep, |i, (wl, iv)| {
-            let mut cfg = base_cfg.clone();
-            cfg.fc_interval_cycles = *iv;
-            run_migration(
-                &cfg,
-                wl,
-                MigrationScheme::PerfFc,
-                &profiles[i / intervals.len()].table,
-            )
-            .ipc
-        })
-    };
-    let mut rows = Vec::new();
-    for (wi, wl) in wls.iter().enumerate() {
-        let mut row = vec![wl.name().to_string()];
-        for ii in 0..intervals.len() {
-            row.push(format!("{:.3}", ipcs[wi * intervals.len() + ii]));
-        }
-        rows.push(row);
-    }
     print_table(
         "Figure 13: FC-interval sweep (IPC per interval, cycles)",
         &["workload", "100k", "200k", "400k (default)", "1.6M"],

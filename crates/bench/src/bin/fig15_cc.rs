@@ -3,16 +3,17 @@
 //! Paper: SER reduced 1.5x at 4.9 % performance loss vs performance-
 //! focused migration, with only 676 KB of tracking hardware.
 
-use ramp_bench::{migration_vs_perf, print_relative, workloads, Harness};
+use ramp_bench::{migration_vs_perf, print_relative, specs, workloads, Harness};
 use ramp_core::migration::MigrationScheme;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let all = workloads();
-    h.prewarm_migration(
+    h.prewarm(&specs(
         &all,
-        &[MigrationScheme::CrossCounter, MigrationScheme::PerfFc],
-    );
+        &[MigrationScheme::CrossCounter, MigrationScheme::PerfFc].map(RunAction::Migration),
+    ));
     let wls = h.workloads_by_mpki(&all);
     let rows = migration_vs_perf(&mut h, &wls, MigrationScheme::CrossCounter);
     print_relative(

@@ -3,14 +3,18 @@
 //! Paper: SER reduced 1.3x at 1.1 % performance cost vs the perf-focused
 //! static oracular placement, with no hardware overhead.
 
-use ramp_bench::{fmt_x, geomean_or_one, print_table, workloads, Harness};
+use ramp_bench::{fmt_x, geomean_or_one, print_table, specs, workloads, Harness};
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_static(&wls, &[PlacementPolicy::PerfFocused]);
-    h.prewarm_annotated(&wls);
+    h.prewarm(&specs(
+        &wls,
+        &[PlacementPolicy::PerfFocused].map(RunAction::Static),
+    ));
+    h.prewarm(&specs(&wls, &[RunAction::Annotated]));
     let mut rows = Vec::new();
     let mut ipcs = Vec::new();
     let mut sers = Vec::new();

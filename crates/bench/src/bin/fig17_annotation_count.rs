@@ -3,13 +3,14 @@
 //! Paper: one annotation suffices for most workloads (average ~8), with
 //! cactusADM (39) and mix1 (45) as outliers.
 
-use ramp_bench::{print_table, workloads, Harness};
+use ramp_bench::{print_table, specs, workloads, Harness};
 use ramp_core::annotate::select_annotations;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_profiles(&wls);
+    h.prewarm(&specs(&wls, &[RunAction::Profile]));
     let mut rows = Vec::new();
     let mut counts = Vec::new();
     for wl in wls {

@@ -2,15 +2,17 @@
 //! counterpart (static schemes vs perf-static, dynamic vs perf-migration).
 
 use ramp_bench::{
-    fmt_x, geomean_or_one, migration_vs_perf, print_table, static_vs_perf, workloads, Harness,
+    fmt_x, geomean_or_one, migration_vs_perf, print_table, specs, static_vs_perf, workloads,
+    Harness,
 };
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 
 fn main() {
     let mut h = Harness::new();
     let wls = workloads();
-    h.prewarm_static(
+    h.prewarm(&specs(
         &wls,
         &[
             PlacementPolicy::PerfFocused,
@@ -18,17 +20,19 @@ fn main() {
             PlacementPolicy::Balanced,
             PlacementPolicy::WrRatio,
             PlacementPolicy::Wr2Ratio,
-        ],
-    );
-    h.prewarm_migration(
+        ]
+        .map(RunAction::Static),
+    ));
+    h.prewarm(&specs(
         &wls,
         &[
             MigrationScheme::PerfFc,
             MigrationScheme::RelFc,
             MigrationScheme::CrossCounter,
-        ],
-    );
-    h.prewarm_annotated(&wls);
+        ]
+        .map(RunAction::Migration),
+    ));
+    h.prewarm(&specs(&wls, &[RunAction::Annotated]));
     let mut rows = Vec::new();
 
     let statics = [

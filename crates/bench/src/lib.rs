@@ -6,93 +6,41 @@
 //! --bin fig05_perf_static`); `all_experiments` runs the whole suite,
 //! sharing profiling passes and baseline runs through [`Harness`].
 //!
-//! Simulation runs are independent `(workload, policy, config)` tasks, so
-//! the harness shards them across cores with [`ramp_sim::exec`]: the
-//! `prewarm_*` methods fill the caches in parallel (`-j N`, `--threads N`
-//! or `RAMP_THREADS`; default: all cores), after which the figure code
-//! reads cached results and formats them sequentially — stdout is
-//! byte-identical at every thread count.
+//! [`Harness`] is a typed view over [`ramp_serve::spec::resolve`], the
+//! one execution path that the sweep engine and the server use too.
+//! Simulation runs are independent `(config, workload, policy)` jobs:
+//! [`Harness::prewarm`] resolves a batch of them in parallel on the
+//! [`ramp_sim::exec`] pool (`-j N`, `--threads N` or `RAMP_THREADS`;
+//! default: all cores), after which the figure code reads the harness's
+//! memo and formats sequentially — stdout is byte-identical at every
+//! thread count.
 //!
-//! The harness is also backed by the persistent `ramp_serve` run store
+//! `resolve` consults the persistent `ramp_serve` run store
 //! (`target/ramp-store/` by default; `RAMP_STORE=off` disables,
-//! `RAMP_STORE_DIR` relocates): every `prewarm_*` method resolves store
-//! hits before simulating and persists what it simulated, so a second
-//! invocation of any experiment binary performs **zero** simulations and
-//! prints byte-identical stdout. Store hit/miss counters are volatile
-//! process observability and surface only in the `RAMP_STATS=table`
-//! epilogue, never in the deterministic `json` document.
+//! `RAMP_STORE_DIR` relocates) before simulating and persists what it
+//! simulated, so a second invocation of any experiment binary performs
+//! **zero** simulations and prints byte-identical stdout. Which tier
+//! answered each run (memo, store, simulation, checkpoint resume) and
+//! the store's hit/miss counters are volatile process observability:
+//! they surface only in the `RAMP_STATS=table` epilogue, never in the
+//! deterministic `json` document.
 
 pub mod microbench;
 pub mod scorecard;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ramp_core::annotate::AnnotationSet;
 use ramp_core::config::SystemConfig;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
-use ramp_core::runner::{
-    build_annotated_sim, build_migration_sim, build_profile_sim, build_static_sim,
-};
 use ramp_core::system::RunResult;
-use ramp_serve::spec::{run_with_recovery, ANNOTATED_POLICY, PROFILE_POLICY};
-use ramp_serve::store::{run_key, RunKind, RunStore};
+use ramp_serve::spec::{resolve, Finished, Job, Memo, Resolver, RunAction, RunSpec};
+use ramp_serve::store::RunStore;
 use ramp_sim::chaos;
-use ramp_sim::exec::{try_parallel_map_metrics, ExecMetrics, StageTimer, TaskOptions};
+use ramp_sim::exec::{ExecMetrics, TaskOptions};
 use ramp_sim::telemetry::{render_runs_json, render_runs_table, Snapshot, StatRegistry};
 use ramp_trace::Workload;
-
-/// Process-wide memo of finished runs keyed by [`run_key`] (which hashes
-/// the full config, so distinct sweep points never collide). Multi-figure
-/// drivers construct fresh [`Harness`] instances per config sweep, and
-/// several sweeps include the default config point — with the persistent
-/// store disabled (`RAMP_STORE=off`, the scorecard's cold probe) those
-/// would re-simulate identical runs. Disabled by default so tests and the
-/// serving stack (whose recovery paths deliberately re-execute runs) are
-/// unaffected; `all_experiments` opts in at startup.
-static RUN_MEMO: std::sync::Mutex<Option<HashMap<String, RunResult>>> = std::sync::Mutex::new(None);
-
-/// Enables the process-wide run memo (see [`RUN_MEMO`]). Idempotent.
-pub fn enable_run_memo() {
-    let mut memo = RUN_MEMO.lock().expect("memo lock");
-    if memo.is_none() {
-        *memo = Some(HashMap::new());
-    }
-}
-
-fn memo_get(key: &str) -> Option<RunResult> {
-    RUN_MEMO
-        .lock()
-        .expect("memo lock")
-        .as_ref()
-        .and_then(|m| m.get(key).cloned())
-}
-
-fn memo_put(key: &str, r: &RunResult) {
-    if let Some(m) = RUN_MEMO.lock().expect("memo lock").as_mut() {
-        m.insert(key.to_string(), r.clone());
-    }
-}
-
-/// Memo-aware variant of [`ramp_core::runner::run_migration`] for sweep
-/// sections that vary the config per task: a sweep point whose config
-/// coincides with an already-simulated run — e.g. the default column of a
-/// parameter sweep — reuses that result instead of re-simulating. Safe to
-/// call from worker threads; with the memo disabled it is a plain run.
-pub fn run_migration_memo(
-    cfg: &SystemConfig,
-    wl: &Workload,
-    scheme: MigrationScheme,
-    profile: &ramp_avf::StatsTable,
-) -> RunResult {
-    let key = run_key(cfg, RunKind::Migration, wl.name(), scheme.name());
-    if let Some(r) = memo_get(&key) {
-        return r;
-    }
-    let r = build_migration_sim(cfg, wl, scheme, profile).run();
-    memo_put(&key, &r);
-    r
-}
 
 /// Environment variable overriding the per-core instruction budget.
 pub const ENV_INSTS: &str = "RAMP_INSTS";
@@ -150,25 +98,38 @@ pub fn workloads() -> Vec<Workload> {
     Workload::all()
 }
 
-/// Caches profiling passes, static runs, migration runs and annotation
-/// runs so that multi-figure drivers execute each simulation exactly once
-/// — and, via the `prewarm_*` methods, execute the missing ones in
-/// parallel.
+/// Every `(workload, action)` pair of `wls` × `actions`, workload-major.
+pub fn specs(wls: &[Workload], actions: &[RunAction]) -> Vec<RunSpec> {
+    wls.iter()
+        .flat_map(|&workload| {
+            actions
+                .iter()
+                .map(move |&action| RunSpec { workload, action })
+        })
+        .collect()
+}
+
+/// The experiment harness: a typed view over [`resolve`] for one system
+/// config. Every run it obtains lands in its memo, so multi-figure
+/// drivers execute each simulation at most once per process and — with
+/// the run store — at most once ever.
 #[derive(Debug)]
 pub struct Harness {
-    /// The system configuration used by every run.
+    /// The system configuration of the typed runs.
     pub cfg: SystemConfig,
-    /// Worker threads used by the `prewarm_*` methods.
+    /// Worker threads of every resolve stage.
     pub threads: usize,
-    /// Executor counters accumulated across every `prewarm_*` stage
+    /// Executor counters accumulated across every simulation stage
     /// (steal counts, busy time; volatile — table mode only).
     pub metrics: ExecMetrics,
     store: Option<RunStore>,
     failures: Vec<String>,
-    profiles: HashMap<&'static str, RunResult>,
-    statics: HashMap<(&'static str, String), RunResult>,
-    migrations: HashMap<(&'static str, &'static str), RunResult>,
-    annotated: HashMap<&'static str, (RunResult, AnnotationSet)>,
+    memo: Memo,
+    /// Telemetry labels of the typed runs obtained so far, by store key.
+    labels: BTreeMap<String, String>,
+    /// How many jobs each tier answered so far, plus `failed` and
+    /// `profile_sims` (volatile: table mode only).
+    tiers: BTreeMap<&'static str, u64>,
 }
 
 impl Harness {
@@ -187,10 +148,18 @@ impl Harness {
             metrics: ExecMetrics::new(),
             store,
             failures: Vec::new(),
-            profiles: HashMap::new(),
-            statics: HashMap::new(),
-            migrations: HashMap::new(),
-            annotated: HashMap::new(),
+            memo: Memo::new(),
+            labels: BTreeMap::new(),
+            tiers: [
+                "memo",
+                "store",
+                "simulated",
+                "resumed",
+                "failed",
+                "profile_sims",
+            ]
+            .map(|tier| (tier, 0))
+            .into(),
         }
     }
 
@@ -199,499 +168,133 @@ impl Harness {
         self.store.as_ref()
     }
 
-    /// Runs that failed (panicked past the retry budget) during a
-    /// `prewarm_*` stage, plus runs skipped because a dependency failed.
-    /// Empty unless `RAMP_CHAOS` (or a simulator bug) is in play — the
-    /// harness isolates such failures per task, reports them in
-    /// [`finish`]'s epilogue and keeps going with the runs that survived.
+    /// Runs that failed (panicked past the retry budget) during
+    /// [`Harness::prewarm`], plus runs skipped because their profile
+    /// failed. Empty unless `RAMP_CHAOS` (or a
+    /// simulator bug) is in play — the harness isolates such failures
+    /// per job, reports them in [`finish`]'s epilogue and keeps going
+    /// with the runs that survived.
     pub fn failures(&self) -> &[String] {
         &self.failures
     }
 
-    /// Fills the profile cache for `wls` in parallel (missing entries
-    /// only, store hits resolved from disk first). Every other run kind
-    /// consumes a profile, so call this (or a `prewarm_*` method that
-    /// does) before fanning out further stages.
-    pub fn prewarm_profiles(&mut self, wls: &[Workload]) {
-        let mut missing: Vec<Workload> = wls
-            .iter()
-            .filter(|wl| !self.profiles.contains_key(wl.name()))
-            .copied()
-            .collect();
-        missing.retain(|wl| {
-            let key = run_key(&self.cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-            match memo_get(&key) {
-                Some(r) => {
-                    self.profiles.insert(wl.name(), r);
-                    false
-                }
-                None => true,
-            }
+    /// Resolves `jobs` into the memo, counting tiers and recording
+    /// failures; returns each job's key, or `None` if it failed.
+    fn resolve(&mut self, jobs: &[Job<'_>], opts: TaskOptions) -> Vec<Option<String>> {
+        let announce =
+            |_: &SystemConfig, spec: RunSpec| eprintln!("  [simulate] {}", telemetry_label(&spec));
+        let resolver = Resolver {
+            store: self.store.as_ref(),
+            threads: self.threads,
+            metrics: Some(&self.metrics),
+            opts,
+            on_simulate: Some(&announce),
+            progress: None,
+        };
+        let start = std::time::Instant::now();
+        let resolution = resolve(jobs, &resolver, Some(&mut self.memo), |_, key, _| {
+            key.to_string()
         });
-        if let Some(store) = &self.store {
-            missing.retain(|wl| {
-                let key = run_key(&self.cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-                match store.load_run(&key) {
-                    Some(r) => {
-                        self.profiles.insert(wl.name(), r);
-                        false
+        let mut simulated = resolution.profile_sims;
+        *self.tiers.entry("profile_sims").or_default() += resolution.profile_sims;
+        let keys = jobs
+            .iter()
+            .zip(resolution.jobs)
+            .map(|((_, spec), outcome)| {
+                let tier = outcome.as_ref().map_or("failed", |done| done.tier.label());
+                *self.tiers.entry(tier).or_default() += 1;
+                simulated += u64::from(matches!(tier, "simulated" | "resumed"));
+                match outcome {
+                    Ok(done) => Some(done.value),
+                    Err(e) => {
+                        self.failures
+                            .push(format!("{}: {e}", telemetry_label(spec)));
+                        None
                     }
-                    None => true,
                 }
-            });
+            })
+            .collect();
+        if simulated > 0 {
+            eprintln!(
+                "[resolve x{} (threads={})] {simulated} simulated, {:.2}s",
+                jobs.len(),
+                self.threads,
+                start.elapsed().as_secs_f64()
+            );
         }
-        if missing.is_empty() {
-            return;
-        }
-        let timer = StageTimer::new(format!(
-            "profile x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let names: Vec<&'static str> = missing.iter().map(|wl| wl.name()).collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, wl| {
-                eprintln!("  [profile] {}", wl.name());
-                let key = run_key(cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-                let label = format!("{}/{PROFILE_POLICY}", wl.name());
-                let (r, _) =
-                    run_with_recovery(|| build_profile_sim(cfg, wl), &key, &label, store, None);
-                (wl.name(), r)
-            },
-        );
-        for result in results {
-            match result {
-                Ok((name, r)) => {
-                    let key = run_key(&self.cfg, RunKind::Profile, name, PROFILE_POLICY);
-                    memo_put(&key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&key, &r);
-                    }
-                    self.profiles.insert(name, r);
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("profile {}: {e}", names[e.task()])),
-            }
-        }
-        timer.finish();
+        keys
     }
 
-    /// Fills the static-run cache for every `(workload, policy)` pair in
-    /// parallel (missing entries only). Store hits are resolved from disk
-    /// first; profiles are prewarmed only for pairs that actually need
-    /// simulating, so a fully warm store performs zero simulations.
-    pub fn prewarm_static(&mut self, wls: &[Workload], policies: &[PlacementPolicy]) {
-        let mut missing: Vec<(Workload, PlacementPolicy)> = wls
-            .iter()
-            .flat_map(|wl| policies.iter().map(move |p| (*wl, *p)))
-            .filter(|(wl, p)| !self.statics.contains_key(&(wl.name(), p.name())))
-            .collect();
-        missing.retain(|(wl, p)| {
-            let key = run_key(&self.cfg, RunKind::Static, wl.name(), &p.name());
-            match memo_get(&key) {
-                Some(r) => {
-                    self.statics.insert((wl.name(), p.name()), r);
-                    false
-                }
-                None => true,
-            }
-        });
-        if let Some(store) = &self.store {
-            missing.retain(|(wl, p)| {
-                let key = run_key(&self.cfg, RunKind::Static, wl.name(), &p.name());
-                match store.load_run(&key) {
-                    Some(r) => {
-                        self.statics.insert((wl.name(), p.name()), r);
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        if missing.is_empty() {
-            return;
-        }
-        let need_profiles = dedupe_workloads(missing.iter().map(|(wl, _)| *wl));
-        self.prewarm_profiles(&need_profiles);
-        // A profile that failed its retry budget leaves dependents
-        // unrunnable: record the skip and keep going with the rest.
-        missing.retain(|(wl, p)| {
-            let ok = self.profiles.contains_key(wl.name());
-            if !ok {
-                self.failures.push(format!(
-                    "static {} {}: skipped (profile unavailable)",
-                    p.name(),
-                    wl.name()
-                ));
-            }
-            ok
-        });
-        if missing.is_empty() {
-            return;
-        }
-        let timer = StageTimer::new(format!(
-            "static x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let profiles = &self.profiles;
-        let labels: Vec<String> = missing
-            .iter()
-            .map(|(wl, p)| format!("{} {}", p.name(), wl.name()))
-            .collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, (wl, policy)| {
-                eprintln!("  [static {}] {}", policy.name(), wl.name());
-                let key = run_key(cfg, RunKind::Static, wl.name(), &policy.name());
-                let label = format!("{}/{}", wl.name(), policy.name());
-                let (r, _) = run_with_recovery(
-                    || build_static_sim(cfg, wl, *policy, &profiles[wl.name()].table),
-                    &key,
-                    &label,
-                    store,
-                    None,
-                );
-                ((wl.name(), policy.name()), r)
-            },
-        );
-        for result in results {
-            match result {
-                Ok((key, r)) => {
-                    let skey = run_key(&self.cfg, RunKind::Static, key.0, &key.1);
-                    memo_put(&skey, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&skey, &r);
-                    }
-                    self.statics.insert(key, r);
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("static {}: {e}", labels[e.task()])),
+    /// Resolves `specs` under the harness config in parallel: memo, then
+    /// store, then simulation (each missing DDR-only profile once, ahead
+    /// of the runs that read it), with the retry budget and `exec.task`
+    /// fault injection of `RAMP_CHAOS`. The runs join
+    /// [`Harness::telemetry_runs`].
+    pub fn prewarm(&mut self, specs: &[RunSpec]) {
+        let cfg = self.cfg.clone();
+        let jobs: Vec<Job<'_>> = specs.iter().map(|&spec| (&cfg, spec)).collect();
+        let keys = self.resolve(&jobs, TaskOptions::from_env());
+        for (spec, key) in specs.iter().zip(keys) {
+            if let Some(key) = key {
+                self.labels.insert(key, telemetry_label(spec));
             }
         }
-        timer.finish();
     }
 
-    /// Fills the migration-run cache for every `(workload, scheme)` pair
-    /// in parallel (missing entries only; store hits resolved first,
-    /// profiles prewarmed only for pairs that need simulating).
-    pub fn prewarm_migration(&mut self, wls: &[Workload], schemes: &[MigrationScheme]) {
-        let mut missing: Vec<(Workload, MigrationScheme)> = wls
-            .iter()
-            .flat_map(|wl| schemes.iter().map(move |s| (*wl, *s)))
-            .filter(|(wl, s)| !self.migrations.contains_key(&(wl.name(), s.name())))
-            .collect();
-        missing.retain(|(wl, s)| {
-            let key = run_key(&self.cfg, RunKind::Migration, wl.name(), s.name());
-            match memo_get(&key) {
-                Some(r) => {
-                    self.migrations.insert((wl.name(), s.name()), r);
-                    false
-                }
-                None => true,
+    /// One typed run: resolved without retries or injected faults, like a
+    /// plain call; a run that cannot be produced panics.
+    fn get(&mut self, workload: Workload, action: RunAction) -> &Finished {
+        let spec = RunSpec { workload, action };
+        let key = spec.key(&self.cfg);
+        if !self.labels.contains_key(&key) {
+            if !self.memo.contains_key(&key) {
+                let cfg = self.cfg.clone();
+                self.resolve(&[(&cfg, spec)], TaskOptions::none());
             }
-        });
-        if let Some(store) = &self.store {
-            missing.retain(|(wl, s)| {
-                let key = run_key(&self.cfg, RunKind::Migration, wl.name(), s.name());
-                match store.load_run(&key) {
-                    Some(r) => {
-                        self.migrations.insert((wl.name(), s.name()), r);
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        if missing.is_empty() {
-            return;
-        }
-        let need_profiles = dedupe_workloads(missing.iter().map(|(wl, _)| *wl));
-        self.prewarm_profiles(&need_profiles);
-        missing.retain(|(wl, s)| {
-            let ok = self.profiles.contains_key(wl.name());
-            if !ok {
-                self.failures.push(format!(
-                    "migration {} {}: skipped (profile unavailable)",
-                    s.name(),
-                    wl.name()
-                ));
+            if !self.memo.contains_key(&key) {
+                let why = self.failures.last().cloned().unwrap_or_default();
+                panic!("{why}");
             }
-            ok
-        });
-        if missing.is_empty() {
-            return;
+            self.labels.insert(key.clone(), telemetry_label(&spec));
         }
-        let timer = StageTimer::new(format!(
-            "migration x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let profiles = &self.profiles;
-        let labels: Vec<String> = missing
-            .iter()
-            .map(|(wl, s)| format!("{} {}", s.name(), wl.name()))
-            .collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, (wl, scheme)| {
-                eprintln!("  [migration {}] {}", scheme.name(), wl.name());
-                let key = run_key(cfg, RunKind::Migration, wl.name(), scheme.name());
-                let label = format!("{}/{}", wl.name(), scheme.name());
-                let (r, _) = run_with_recovery(
-                    || build_migration_sim(cfg, wl, *scheme, &profiles[wl.name()].table),
-                    &key,
-                    &label,
-                    store,
-                    None,
-                );
-                ((wl.name(), scheme.name()), r)
-            },
-        );
-        for result in results {
-            match result {
-                Ok((key, r)) => {
-                    let skey = run_key(&self.cfg, RunKind::Migration, key.0, key.1);
-                    memo_put(&skey, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&skey, &r);
-                    }
-                    self.migrations.insert(key, r);
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("migration {}: {e}", labels[e.task()])),
-            }
-        }
-        timer.finish();
-    }
-
-    /// Fills the annotation-run cache for `wls` in parallel (missing
-    /// entries only; store hits resolved first, profiles prewarmed only
-    /// for workloads that need simulating).
-    pub fn prewarm_annotated(&mut self, wls: &[Workload]) {
-        let mut missing: Vec<Workload> = wls
-            .iter()
-            .filter(|wl| !self.annotated.contains_key(wl.name()))
-            .copied()
-            .collect();
-        if let Some(store) = &self.store {
-            missing.retain(|wl| {
-                let key = run_key(&self.cfg, RunKind::Annotated, wl.name(), ANNOTATED_POLICY);
-                match store.load_annotated(&key) {
-                    Some(pair) => {
-                        self.annotated.insert(wl.name(), pair);
-                        false
-                    }
-                    None => true,
-                }
-            });
-        }
-        if missing.is_empty() {
-            return;
-        }
-        self.prewarm_profiles(&missing);
-        missing.retain(|wl| {
-            let ok = self.profiles.contains_key(wl.name());
-            if !ok {
-                self.failures.push(format!(
-                    "annotated {}: skipped (profile unavailable)",
-                    wl.name()
-                ));
-            }
-            ok
-        });
-        if missing.is_empty() {
-            return;
-        }
-        let timer = StageTimer::new(format!(
-            "annotated x{} (threads={})",
-            missing.len(),
-            self.threads
-        ));
-        let cfg = &self.cfg;
-        let store = self.store.as_ref();
-        let profiles = &self.profiles;
-        let names: Vec<&'static str> = missing.iter().map(|wl| wl.name()).collect();
-        let results = try_parallel_map_metrics(
-            self.threads,
-            missing,
-            &self.metrics,
-            None,
-            &TaskOptions::from_env(),
-            |_, wl| {
-                eprintln!("  [annotated] {}", wl.name());
-                let key = run_key(cfg, RunKind::Annotated, wl.name(), ANNOTATED_POLICY);
-                let label = format!("{}/{ANNOTATED_POLICY}", wl.name());
-                let table = &profiles[wl.name()].table;
-                let set = build_annotated_sim(cfg, wl, table).1;
-                let (r, _) = run_with_recovery(
-                    || build_annotated_sim(cfg, wl, table).0,
-                    &key,
-                    &label,
-                    store,
-                    None,
-                );
-                (wl.name(), (r, set))
-            },
-        );
-        for result in results {
-            match result {
-                Ok((name, (r, set))) => {
-                    if let Some(store) = &self.store {
-                        let key = run_key(&self.cfg, RunKind::Annotated, name, ANNOTATED_POLICY);
-                        store.store_annotated(&key, &r, &set);
-                    }
-                    self.annotated.insert(name, (r, set));
-                }
-                Err(e) => self
-                    .failures
-                    .push(format!("annotated {}: {e}", names[e.task()])),
-            }
-        }
-        timer.finish();
-    }
-
-    /// The annotation run (Section 7) for `workload`, cached.
-    pub fn annotated_run(&mut self, wl: &Workload) -> (RunResult, AnnotationSet) {
-        if !self.annotated.contains_key(wl.name()) {
-            self.prewarm_annotated(std::slice::from_ref(wl));
-        }
-        self.annotated[wl.name()].clone()
+        &self.memo[&key]
     }
 
     /// The DDR-only profiling run for `workload`.
     pub fn profile(&mut self, wl: &Workload) -> RunResult {
-        if !self.profiles.contains_key(wl.name()) {
-            let store_key = run_key(&self.cfg, RunKind::Profile, wl.name(), PROFILE_POLICY);
-            let cached = memo_get(&store_key)
-                .or_else(|| self.store.as_ref().and_then(|s| s.load_run(&store_key)));
-            let r = match cached {
-                Some(r) => r,
-                None => {
-                    eprintln!("  [profile] {}", wl.name());
-                    let label = format!("{}/{PROFILE_POLICY}", wl.name());
-                    let (r, _) = run_with_recovery(
-                        || build_profile_sim(&self.cfg, wl),
-                        &store_key,
-                        &label,
-                        self.store.as_ref(),
-                        None,
-                    );
-                    memo_put(&store_key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&store_key, &r);
-                    }
-                    r
-                }
-            };
-            self.profiles.insert(wl.name(), r);
-        }
-        self.profiles[wl.name()].clone()
+        self.get(*wl, RunAction::Profile).run.clone()
     }
 
     /// A static-placement run under `policy`.
     pub fn static_run(&mut self, wl: &Workload, policy: PlacementPolicy) -> RunResult {
-        let key = (wl.name(), policy.name());
-        if !self.statics.contains_key(&key) {
-            let store_key = run_key(&self.cfg, RunKind::Static, wl.name(), &policy.name());
-            let cached = memo_get(&store_key)
-                .or_else(|| self.store.as_ref().and_then(|s| s.load_run(&store_key)));
-            let r = match cached {
-                Some(r) => r,
-                None => {
-                    let profile = self.profile(wl);
-                    eprintln!("  [static {}] {}", policy.name(), wl.name());
-                    let label = format!("{}/{}", wl.name(), policy.name());
-                    let (r, _) = run_with_recovery(
-                        || build_static_sim(&self.cfg, wl, policy, &profile.table),
-                        &store_key,
-                        &label,
-                        self.store.as_ref(),
-                        None,
-                    );
-                    memo_put(&store_key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&store_key, &r);
-                    }
-                    r
-                }
-            };
-            self.statics.insert(key.clone(), r);
-        }
-        self.statics[&key].clone()
+        self.get(*wl, RunAction::Static(policy)).run.clone()
     }
 
     /// A dynamic-migration run under `scheme`.
     pub fn migration_run(&mut self, wl: &Workload, scheme: MigrationScheme) -> RunResult {
-        let key = (wl.name(), scheme.name());
-        if !self.migrations.contains_key(&key) {
-            let store_key = run_key(&self.cfg, RunKind::Migration, wl.name(), scheme.name());
-            let cached = memo_get(&store_key)
-                .or_else(|| self.store.as_ref().and_then(|s| s.load_run(&store_key)));
-            let r = match cached {
-                Some(r) => r,
-                None => {
-                    let profile = self.profile(wl);
-                    eprintln!("  [migration {}] {}", scheme.name(), wl.name());
-                    let label = format!("{}/{}", wl.name(), scheme.name());
-                    let (r, _) = run_with_recovery(
-                        || build_migration_sim(&self.cfg, wl, scheme, &profile.table),
-                        &store_key,
-                        &label,
-                        self.store.as_ref(),
-                        None,
-                    );
-                    memo_put(&store_key, &r);
-                    if let Some(store) = &self.store {
-                        store.store_run(&store_key, &r);
-                    }
-                    r
-                }
-            };
-            self.migrations.insert(key, r);
-        }
-        self.migrations[&key].clone()
+        self.get(*wl, RunAction::Migration(scheme)).run.clone()
     }
 
-    /// Every cached run's telemetry snapshot, labelled
-    /// `profile/{wl}`, `static/{wl}/{policy}`, `migration/{wl}/{scheme}`
-    /// or `annotated/{wl}` and sorted by label (deterministic).
+    /// The annotation run (Section 7) for `workload`.
+    pub fn annotated_run(&mut self, wl: &Workload) -> (RunResult, AnnotationSet) {
+        let f = self.get(*wl, RunAction::Annotated);
+        let set = f
+            .annotations
+            .clone()
+            .expect("annotated runs carry their set");
+        (f.run.clone(), set)
+    }
+
+    /// The telemetry snapshot of every typed run obtained so far,
+    /// labelled `profile/{wl}`, `static/{wl}/{policy}`,
+    /// `migration/{wl}/{scheme}` or `annotated/{wl}` and sorted by label
+    /// (deterministic).
     pub fn telemetry_runs(&self) -> Vec<(String, Snapshot)> {
-        let mut runs: Vec<(String, Snapshot)> = Vec::new();
-        for (name, r) in &self.profiles {
-            runs.push((format!("profile/{name}"), r.telemetry.clone()));
-        }
-        for ((wl, policy), r) in &self.statics {
-            runs.push((format!("static/{wl}/{policy}"), r.telemetry.clone()));
-        }
-        for ((wl, scheme), r) in &self.migrations {
-            runs.push((format!("migration/{wl}/{scheme}"), r.telemetry.clone()));
-        }
-        for (name, (r, _)) in &self.annotated {
-            runs.push((format!("annotated/{name}"), r.telemetry.clone()));
-        }
+        let mut runs: Vec<(String, Snapshot)> = self
+            .labels
+            .iter()
+            .map(|(key, label)| (label.clone(), self.memo[key].run.telemetry.clone()))
+            .collect();
         runs.sort_by(|a, b| a.0.cmp(&b.0));
         runs
     }
@@ -712,10 +315,14 @@ impl Default for Harness {
     }
 }
 
-/// Deduplicates workloads by name, preserving first-seen order.
-fn dedupe_workloads(wls: impl Iterator<Item = Workload>) -> Vec<Workload> {
-    let mut seen = std::collections::HashSet::new();
-    wls.filter(|wl| seen.insert(wl.name())).collect()
+/// The telemetry label of a typed run: `profile/{wl}`, `annotated/{wl}`
+/// or `{kind}/{wl}/{policy}`.
+fn telemetry_label(spec: &RunSpec) -> String {
+    let (kind, wl) = (spec.kind().label(), spec.workload.name());
+    match spec.action {
+        RunAction::Profile | RunAction::Annotated => format!("{kind}/{wl}"),
+        _ => format!("{kind}/{wl}/{}", spec.policy_label()),
+    }
 }
 
 /// The shared epilogue of every experiment binary: dumps the cached
@@ -724,9 +331,11 @@ fn dedupe_workloads(wls: impl Iterator<Item = Workload>) -> Vec<Workload> {
 /// `json` emits one deterministic document (byte-identical at any thread
 /// count *and* across cold/warm store runs — golden-tested by
 /// `tests/golden_stats.rs`); `table` emits human-readable tables plus
-/// the volatile process stats: executor counters and, when a store is
-/// configured, its hit/miss/write counters (`[store]` section). Call
-/// this as the last line of an experiment binary's `main`.
+/// the volatile process stats: executor counters, how many jobs each
+/// tier answered (`[resolve]` section: `memo`, `store`, `simulated`,
+/// `resumed`, `failed`, `profile_sims`) and, when a store is configured,
+/// its hit/miss/write counters (`[store]` section). Call this as the
+/// last line of an experiment binary's `main`.
 pub fn finish(h: &Harness) {
     // Failed/skipped runs are reported unconditionally (stderr, so the
     // deterministic stdout stays byte-identical), before the RAMP_STATS
@@ -760,6 +369,9 @@ pub fn finish(h: &Harness) {
             print!("{}", render_runs_table(&runs));
             let mut reg = StatRegistry::new();
             h.metrics.export_telemetry(&mut reg, "exec");
+            for (tier, n) in &h.tiers {
+                reg.counter_add("resolve", tier, *n);
+            }
             if let Some(store) = h.store() {
                 store.export_telemetry(&mut reg, "store");
             }
@@ -776,6 +388,43 @@ pub fn finish(h: &Harness) {
         }
         other => eprintln!("{ENV_STATS}={other}: expected `json` or `table`"),
     }
+}
+
+/// Figure 13's FC-interval sweep: the perf-FC migration IPC of each of
+/// `wls` at each of `intervals` (workload-major), formatted `{:.3}`.
+///
+/// Each point is a job under its own config, so all of them resolve in
+/// one call through the memo and the store, without retries or injected
+/// faults like the single-run getters; a point that cannot be produced
+/// panics. The base-config profiles join the telemetry document; the
+/// interval runs do not.
+pub fn fc_interval_sweep(h: &mut Harness, wls: &[Workload], intervals: &[u64]) -> Vec<String> {
+    h.prewarm(&specs(wls, &[RunAction::Profile]));
+    for wl in wls {
+        h.profile(wl); // a profile whose prewarm failed resolves again here
+    }
+    let cfgs: Vec<SystemConfig> = intervals
+        .iter()
+        .map(|&fc_interval_cycles| SystemConfig {
+            fc_interval_cycles,
+            ..h.cfg.clone()
+        })
+        .collect();
+    let action = RunAction::Migration(MigrationScheme::PerfFc);
+    let jobs: Vec<Job<'_>> = wls
+        .iter()
+        .flat_map(|&workload| {
+            cfgs.iter()
+                .map(move |cfg| (cfg, RunSpec { workload, action }))
+        })
+        .collect();
+    h.resolve(&jobs, TaskOptions::none())
+        .into_iter()
+        .map(|key| match key {
+            Some(k) => format!("{:.3}", h.memo[&k].run.ipc),
+            None => panic!("{}", h.failures.last().cloned().unwrap_or_default()),
+        })
+        .collect()
 }
 
 /// A static-policy comparison row: IPC and SER relative to the

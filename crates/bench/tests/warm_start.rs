@@ -5,10 +5,11 @@
 
 use std::sync::atomic::Ordering;
 
-use ramp_bench::Harness;
+use ramp_bench::{specs, Harness};
 use ramp_core::config::SystemConfig;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
+use ramp_serve::spec::RunAction;
 use ramp_serve::store::RunStore;
 use ramp_trace::{Benchmark, Workload};
 
@@ -50,7 +51,10 @@ fn warm_harness_performs_zero_simulations() {
 
     // Cold: simulate a profile + static + migration and persist them.
     let mut cold = harness(&dir);
-    cold.prewarm_static(&[wl], &[PlacementPolicy::PerfFocused]);
+    cold.prewarm(&specs(
+        &[wl],
+        &[RunAction::Static(PlacementPolicy::PerfFocused)],
+    ));
     let cold_static = cold.static_run(&wl, PlacementPolicy::PerfFocused);
     let cold_mig = cold.migration_run(&wl, MigrationScheme::RelFc);
     let (hits, _, writes) = counters(&cold);
@@ -59,7 +63,10 @@ fn warm_harness_performs_zero_simulations() {
 
     // Warm: a fresh harness over the same directory must not simulate.
     let mut warm = harness(&dir);
-    warm.prewarm_static(&[wl], &[PlacementPolicy::PerfFocused]);
+    warm.prewarm(&specs(
+        &[wl],
+        &[RunAction::Static(PlacementPolicy::PerfFocused)],
+    ));
     let warm_static = warm.static_run(&wl, PlacementPolicy::PerfFocused);
     let warm_mig = warm.migration_run(&wl, MigrationScheme::RelFc);
     let warm_profile = warm.profile(&wl);
@@ -88,7 +95,7 @@ fn annotated_runs_round_trip_through_the_store() {
     let (cold_run, cold_set) = cold.annotated_run(&wl);
 
     let mut warm = harness(&dir);
-    warm.prewarm_annotated(&[wl]);
+    warm.prewarm(&specs(&[wl], &[RunAction::Annotated]));
     let (warm_run, warm_set) = warm.annotated_run(&wl);
     let (hits, misses, _) = counters(&warm);
     assert_eq!((hits, misses), (1, 0));

@@ -58,7 +58,7 @@ use crate::http::{serve_pooled, PoolPolicy, Reply, Request};
 use crate::json::{error_body, parse_flat, ObjWriter};
 use crate::queue::{BoundedQueue, PushError};
 use crate::router::route_shard;
-use crate::spec::{RunProgress, RunSpec};
+use crate::spec::{resolve, Resolver, RunProgress, RunSpec, Tier};
 use crate::store::RunStore;
 
 /// Server tuning knobs plus the simulated system configuration.
@@ -466,16 +466,34 @@ fn run_one(shared: &Shared, job: Job) {
         c.maybe_panic("server.worker");
     }
     let spec = job.spec;
+    let key = spec.key(&shared.sim);
     let progress = Arc::new(RunProgress::default());
     shared.set_state(job.id, JobState::Running(Arc::clone(&progress)));
+    let resolver = Resolver {
+        progress: Some(&progress),
+        ..Resolver::new(shared.store.as_ref())
+    };
     let attempt = || {
         catch_unwind(AssertUnwindSafe(|| {
             if let Some(c) = shared.chaos.as_ref() {
                 c.maybe_slow("server.job");
                 c.maybe_panic("server.job");
             }
-            spec.execute_with_progress(&shared.sim, shared.store.as_ref(), Some(&progress))
+            progress
+                .epochs_total
+                .store(shared.sim.epochs_estimate(), Ordering::Relaxed);
+            let jobs = [(&shared.sim, spec)];
+            let resolution = resolve(&jobs, &resolver, None, |_, key, f| {
+                RunSummary::from_run(key, &f.run)
+            });
+            resolution
+                .jobs
+                .into_iter()
+                .next()
+                .expect("one job in, one report out")
         }))
+        .map_err(|payload| chaos::panic_message(payload.as_ref()))
+        .and_then(|r| r)
     };
     let mut result = attempt();
     if result.is_err() {
@@ -483,7 +501,6 @@ fn run_one(shared: &Shared, job: Job) {
         // An interrupted job that left a checkpoint trail is
         // restartable: one retry resumes from the newest valid
         // checkpoint instead of surfacing the crash.
-        let key = spec.key(&shared.sim);
         let has_trail = shared
             .store
             .as_ref()
@@ -498,9 +515,8 @@ fn run_one(shared: &Shared, job: Job) {
         }
     }
     match result {
-        Ok(outcome) => {
-            let key = spec.key(&shared.sim);
-            if !outcome.persisted {
+        Ok(done) => {
+            if !done.persisted {
                 // Degraded mode: the simulation succeeded but the store
                 // write didn't — serve the in-memory result and warn,
                 // never 500.
@@ -510,19 +526,13 @@ fn run_one(shared: &Shared, job: Job) {
                     job.id
                 );
             }
-            if outcome.resumed {
+            if done.tier == Tier::Resumed {
                 shared.resumed.fetch_add(1, Ordering::SeqCst);
             }
-            shared.set_state(
-                job.id,
-                JobState::Done(RunSummary::from_run(&key, &outcome.run)),
-            );
+            shared.set_state(job.id, JobState::Done(done.value));
             shared.completed.fetch_add(1, Ordering::SeqCst);
         }
-        Err(payload) => {
-            let msg = chaos::panic_message(payload.as_ref());
-            shared.fail_job(job.id, format!("simulation panicked: {msg}"));
-        }
+        Err(msg) => shared.fail_job(job.id, format!("simulation panicked: {msg}")),
     }
 }
 

@@ -1,20 +1,27 @@
-//! Parsed run requests and their store-aware execution.
+//! Parsed run requests and the one path that executes them.
 //!
 //! A [`RunSpec`] is the validated form of a client request ("run `lbm`
-//! under the `perf-focused` static policy"). [`RunSpec::execute`] is the
-//! single choke point between the serving layer and the simulator: it
-//! consults the [`RunStore`] first, simulates only on a miss, and
-//! persists what it simulated — including the intermediate DDR-only
-//! profile that static/migration/annotated runs depend on, so a later
-//! request for any run of the same workload starts from a warm profile.
+//! under the `perf-focused` static policy"). [`resolve`] is the single
+//! choke point between every front end and the simulator: the
+//! experiment harness, the sweep engine and the server hand it
+//! `(config, spec)` jobs. It answers each job from the caller's memo or
+//! the [`RunStore`] when it can, simulates only what is missing (each
+//! distinct DDR-only profile once, ahead of the runs that read its
+//! table), persists what it simulated, and reports which tier answered.
+//! [`RunSpec::execute`] is a one-job `resolve`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
+use ramp_avf::StatsTable;
+use ramp_core::annotate::AnnotationSet;
 use ramp_core::config::SystemConfig;
 use ramp_core::migration::MigrationScheme;
 use ramp_core::placement::PlacementPolicy;
 use ramp_core::runner;
 use ramp_core::system::{RunHooks, RunResult, SystemSim};
+use ramp_sim::exec::{parallel_map, try_parallel_map_metrics, ExecMetrics, TaskOptions};
 use ramp_trace::Workload;
 
 use crate::store::{run_key, RunKind, RunStore};
@@ -53,20 +60,6 @@ pub struct RunProgress {
     pub resumed: AtomicBool,
 }
 
-/// What [`RunSpec::execute_with_progress`] produced.
-#[derive(Debug)]
-pub struct ExecOutcome {
-    /// The simulation result.
-    pub run: RunResult,
-    /// `false` when any store write of this execution failed, i.e. the
-    /// result is correct but served from memory only.
-    pub persisted: bool,
-    /// `true` when any simulated phase of this execution (the run
-    /// itself or its intermediate profile) resumed from a checkpoint
-    /// instead of starting cold.
-    pub resumed: bool,
-}
-
 /// Runs `build()`'s simulator to completion with epoch-granular
 /// checkpointing into `store` under `key`, resuming from the newest
 /// restorable checkpoint when one exists.
@@ -78,9 +71,8 @@ pub struct ExecOutcome {
 /// case the run simply starts cold. On completion the run's checkpoint
 /// trail is removed. Returns the result and whether the run resumed.
 ///
-/// Public because the `ramp-bench` harness drives its simulations
-/// through the same path: any process that can reach the run store gets
-/// kill-and-resume for free.
+/// [`resolve`] runs every simulation through it, so any process that
+/// can reach the run store gets kill-and-resume for free.
 pub fn run_with_recovery(
     build: impl Fn() -> SystemSim,
     key: &str,
@@ -240,139 +232,474 @@ impl RunSpec {
     }
 
     /// Executes the spec, serving from `store` when possible and
-    /// persisting whatever had to be simulated.
+    /// persisting whatever had to be simulated: a one-job [`resolve`].
+    /// Panics with the failure message if the run cannot be produced.
     pub fn execute(&self, cfg: &SystemConfig, store: Option<&RunStore>) -> RunResult {
-        self.execute_tracked(cfg, store).0
-    }
-
-    /// [`RunSpec::execute`] that also reports persistence: the second
-    /// element is `false` when any store write of this execution (the
-    /// run itself or an intermediate profile) failed, i.e. the result is
-    /// correct but served from memory only — the caller can degrade
-    /// gracefully instead of erroring.
-    pub fn execute_tracked(
-        &self,
-        cfg: &SystemConfig,
-        store: Option<&RunStore>,
-    ) -> (RunResult, bool) {
-        let outcome = self.execute_with_progress(cfg, store, None);
-        (outcome.run, outcome.persisted)
-    }
-
-    /// [`RunSpec::execute_tracked`] with live progress reporting and
-    /// epoch-granular checkpoint/resume.
-    ///
-    /// When `RAMP_CKPT_EPOCHS` is set (and a store is attached), every
-    /// simulated phase checkpoints its full state every K epochs and —
-    /// if a previous process died mid-run — resumes from the newest
-    /// valid checkpoint, producing a byte-identical result to an
-    /// uninterrupted run. `progress` (shared with poll responses) tracks
-    /// the *requested* run; intermediate profile phases keep
-    /// `epochs_done` at zero rather than reporting a misleading reset.
-    pub fn execute_with_progress(
-        &self,
-        cfg: &SystemConfig,
-        store: Option<&RunStore>,
-        progress: Option<&RunProgress>,
-    ) -> ExecOutcome {
-        if let Some(p) = progress {
-            p.epochs_total
-                .store(cfg.epochs_estimate(), Ordering::Relaxed);
+        let resolution = resolve(&[(cfg, *self)], &Resolver::new(store), None, |_, _, f| {
+            f.run.clone()
+        });
+        match resolution.jobs.into_iter().next() {
+            Some(Ok(done)) => done.value,
+            Some(Err(why)) => panic!("{}/{}: {why}", self.workload.name(), self.policy_label()),
+            None => unreachable!("one job in, one report out"),
         }
-        let key = self.key(cfg);
-        let label = format!("{}/{}", self.workload.name(), self.policy_label());
-        if let Some(s) = store {
-            if self.kind() == RunKind::Annotated {
-                if let Some((run, _)) = s.load_annotated(&key) {
-                    return ExecOutcome {
-                        run,
-                        persisted: true,
-                        resumed: false,
-                    };
-                }
-            } else if let Some(run) = s.load_run(&key) {
-                return ExecOutcome {
-                    run,
-                    persisted: true,
-                    resumed: false,
-                };
+    }
+}
+
+/// One unit of work for [`resolve`]: a run spec under its system config.
+pub type Job<'a> = (&'a SystemConfig, RunSpec);
+
+/// A finished run: the result plus, for an annotated run, the
+/// annotation set it pinned.
+#[derive(Clone, Debug)]
+pub struct Finished {
+    /// The simulation result.
+    pub run: RunResult,
+    /// The annotation set of an annotated run (`None` for other kinds).
+    pub annotations: Option<AnnotationSet>,
+}
+
+/// Finished runs by store key: the in-memory tier a caller of
+/// [`resolve`] may own. `resolve` reads it first and adds every job it
+/// answers and every profile it simulates.
+pub type Memo = HashMap<String, Arc<Finished>>;
+
+/// Which tier answered a job.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// The caller's [`Memo`].
+    Memo,
+    /// The run store.
+    Store,
+    /// A fresh simulation.
+    Simulated,
+    /// A simulation that resumed from a checkpoint (the job's own run or
+    /// the profile simulated for it).
+    Resumed,
+}
+
+impl Tier {
+    /// The tier's name in reports: `memo`, `store`, `simulated`, `resumed`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Tier::Memo => "memo",
+            Tier::Store => "store",
+            Tier::Simulated => "simulated",
+            Tier::Resumed => "resumed",
+        }
+    }
+}
+
+/// One job's answer from [`resolve`].
+#[derive(Debug)]
+pub struct Resolved<T> {
+    /// Which tier answered.
+    pub tier: Tier,
+    /// `false` when a store write of this job's simulation (the run or
+    /// the profile simulated for it) failed: the value is correct but
+    /// lives in memory only.
+    pub persisted: bool,
+    /// What the caller's `finish` closure made of the run.
+    pub value: T,
+}
+
+/// What one [`resolve`] call produced.
+#[derive(Debug)]
+pub struct Resolution<T> {
+    /// Per job, in input order: its answer, or why it failed (a panic
+    /// past the retry budget, or a skip because its profile failed).
+    pub jobs: Vec<Result<Resolved<T>, String>>,
+    /// DDR-only profiles simulated only as dependencies of other jobs.
+    pub profile_sims: u64,
+}
+
+/// A hook called at the start of every simulation attempt.
+pub type OnSimulate<'a> = dyn Fn(&SystemConfig, RunSpec) + Sync + 'a;
+
+/// How [`resolve`] executes its jobs.
+pub struct Resolver<'a> {
+    /// The run store consulted before simulating and written after.
+    pub store: Option<&'a RunStore>,
+    /// Worker threads for store lookups and simulations.
+    pub threads: usize,
+    /// Executor counters for the simulation stages (store lookups are
+    /// not executor tasks, so a fully warm call leaves them untouched).
+    pub metrics: Option<&'a ExecMetrics>,
+    /// Retry budget and `exec.task` fault injection of the simulation
+    /// stages.
+    pub opts: TaskOptions,
+    /// Called on the worker at the start of every simulation attempt,
+    /// profiles included (the sweep's chaos site, the harness's
+    /// progress lines).
+    pub on_simulate: Option<&'a OnSimulate<'a>>,
+    /// Live progress of the jobs' own simulations, for a one-job caller
+    /// such as a server worker; profile phases leave it alone.
+    pub progress: Option<&'a RunProgress>,
+}
+
+impl<'a> Resolver<'a> {
+    /// One thread, no retries, no hooks.
+    pub fn new(store: Option<&'a RunStore>) -> Self {
+        Resolver {
+            store,
+            threads: 1,
+            metrics: None,
+            opts: TaskOptions::none(),
+            on_simulate: None,
+            progress: None,
+        }
+    }
+}
+
+/// A distinct DDR-only profile that pending jobs need: as a job of its
+/// own, as the table their placement reads, or both.
+struct Profile<'a> {
+    job: Job<'a>,
+    key: String,
+    /// The pending profile jobs that share this key, if any.
+    group: Option<usize>,
+    /// Dependent runs not yet simulated; the last one releases `held`.
+    users: AtomicUsize,
+    /// The profile, when the call keeps it in memory for its dependents.
+    held: Mutex<Option<Arc<Finished>>>,
+    /// `(persisted, resumed)` of this call's simulation of it, or why it
+    /// could not be had.
+    state: Result<(bool, bool), String>,
+}
+
+impl Profile<'_> {
+    /// The profile for one dependent: the held one, or else a copy of
+    /// its own decoded on the dependent's worker. An entry that fails to
+    /// load (damaged, or an injected read fault) is simulated again.
+    fn acquire(&self, how: &Resolver<'_>) -> Arc<Finished> {
+        if let Some(f) = self.held.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
+            return Arc::clone(f);
+        }
+        Arc::new(match how.store.and_then(|s| s.load_run(&self.key)) {
+            Some(run) => Finished {
+                run,
+                annotations: None,
+            },
+            None => simulate(how, self.job, &self.key, None, None).0,
+        })
+    }
+
+    fn release(&self) {
+        if self.users.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.held.lock().unwrap_or_else(|e| e.into_inner()).take();
+        }
+    }
+}
+
+fn load(store: &RunStore, kind: RunKind, key: &str) -> Option<Finished> {
+    match kind {
+        RunKind::Annotated => store.load_annotated(key).map(|(run, set)| Finished {
+            run,
+            annotations: Some(set),
+        }),
+        _ => store.load_run(key).map(|run| Finished {
+            run,
+            annotations: None,
+        }),
+    }
+}
+
+/// Simulates one job through [`run_with_recovery`] — placements read the
+/// profile `table`, which a profile job does not have — and persists the
+/// result. Returns it with `(persisted, resumed)`.
+fn simulate(
+    how: &Resolver<'_>,
+    (cfg, spec): Job<'_>,
+    key: &str,
+    progress: Option<&RunProgress>,
+    table: Option<&StatsTable>,
+) -> (Finished, bool, bool) {
+    if let Some(hook) = how.on_simulate {
+        hook(cfg, spec);
+    }
+    let wl = &spec.workload;
+    let table = || table.expect("placement runs read a profile");
+    let annotations = (spec.action == RunAction::Annotated)
+        .then(|| runner::build_annotated_sim(cfg, wl, table()).1);
+    let build = || match spec.action {
+        RunAction::Profile => runner::build_profile_sim(cfg, wl),
+        RunAction::Static(policy) => runner::build_static_sim(cfg, wl, policy, table()),
+        RunAction::Migration(scheme) => runner::build_migration_sim(cfg, wl, scheme, table()),
+        RunAction::Annotated => runner::build_annotated_sim(cfg, wl, table()).0,
+    };
+    let label = format!("{}/{}", wl.name(), spec.policy_label());
+    let (run, resumed) = run_with_recovery(build, key, &label, how.store, progress);
+    let persisted = match (how.store, &annotations) {
+        (None, _) => true,
+        (Some(s), Some(set)) => s.store_annotated(key, &run, set),
+        (Some(s), None) => s.store_run(key, &run),
+    };
+    (Finished { run, annotations }, persisted, resumed)
+}
+
+fn simulated(resumed: bool) -> Tier {
+    if resumed {
+        Tier::Resumed
+    } else {
+        Tier::Simulated
+    }
+}
+
+/// The one execution path of every run: the experiment harness, the
+/// sweep engine and the server all resolve their jobs here.
+///
+/// Each job is answered by the first tier that has it:
+/// 1. the caller's `memo`, when given;
+/// 2. the store, with lookups fanned out over `how.threads`;
+/// 3. a simulation on the [`ramp_sim::exec`] pool through
+///    [`run_with_recovery`] (checkpoint/resume), persisted with
+///    [`RunStore::store_run`] or [`RunStore::store_annotated`].
+///
+/// Jobs that share a key simulate once. Each distinct DDR-only profile
+/// that pending jobs are or read is taken from the memo or the store, or
+/// is simulated once in a stage of its own before its dependents run,
+/// which run grouped by it. The dependents of a failed profile are
+/// skipped with its failure.
+///
+/// `finish(job_index, key, run)` runs on the worker thread that loaded
+/// or simulated the job, so a caller without a memo holds at most one
+/// decoded job entry per worker. For the same reason, a profile found in
+/// the store is decoded by each dependent on its own worker. One
+/// simulated here is held for its dependents, and released by the last
+/// of them, when the caller keeps a memo, when it cannot be reloaded, or
+/// when no more profiles than workers would be held; otherwise each
+/// dependent reloads it too.
+pub fn resolve<T, F>(
+    jobs: &[Job<'_>],
+    how: &Resolver<'_>,
+    mut memo: Option<&mut Memo>,
+    finish: F,
+) -> Resolution<T>
+where
+    T: Send,
+    F: Fn(usize, &str, &Finished) -> T + Sync,
+{
+    let keys: Vec<String> = jobs.iter().map(|(cfg, spec)| spec.key(cfg)).collect();
+    let mut out: Vec<Option<Result<Resolved<T>, String>>> = jobs.iter().map(|_| None).collect();
+    let keep = memo.is_some();
+    let answer = |tier, persisted, value| {
+        Some(Ok(Resolved {
+            tier,
+            persisted,
+            value,
+        }))
+    };
+
+    if let Some(m) = memo.as_deref() {
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(f) = m.get(key) {
+                out[i] = answer(Tier::Memo, true, finish(i, key, f));
             }
         }
-        let wl = self.workload;
-        if let RunAction::Profile = self.action {
-            let (run, resumed) = run_with_recovery(
-                || runner::build_profile_sim(cfg, &wl),
-                &key,
-                &label,
-                store,
-                progress,
-            );
-            let persisted = match store {
-                Some(s) => s.store_run(&key, &run),
-                None => true,
-            };
-            return ExecOutcome {
-                run,
+    }
+    if let Some(store) = how.store {
+        let misses: Vec<usize> = (0..jobs.len()).filter(|&i| out[i].is_none()).collect();
+        let hits = parallel_map(how.threads, misses.clone(), |_, &i| {
+            let f = load(store, jobs[i].1.kind(), &keys[i])?;
+            Some((finish(i, &keys[i], &f), keep.then_some(f)))
+        });
+        for (i, hit) in misses.into_iter().zip(hits) {
+            if let Some((value, f)) = hit {
+                out[i] = answer(Tier::Store, true, value);
+                if let (Some(m), Some(f)) = (memo.as_deref_mut(), f) {
+                    m.insert(keys[i].clone(), Arc::new(f));
+                }
+            }
+        }
+    }
+
+    // The rest simulates: one group per distinct key, and one entry per
+    // distinct DDR-only profile the groups are or read.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of: HashMap<&str, usize> = HashMap::new();
+    for i in (0..jobs.len()).filter(|&i| out[i].is_none()) {
+        let g = *group_of.entry(&keys[i]).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    let mut profiles: Vec<Profile<'_>> = Vec::new();
+    let mut profile_of: HashMap<String, usize> = HashMap::new();
+    let mut dependents: Vec<(usize, usize)> = Vec::new();
+    for (g, members) in groups.iter().enumerate() {
+        let (cfg, spec) = jobs[members[0]];
+        let job = (
+            cfg,
+            RunSpec {
+                action: RunAction::Profile,
+                ..spec
+            },
+        );
+        let key = job.1.key(cfg);
+        let p = *profile_of.entry(key.clone()).or_insert_with(|| {
+            let (users, held) = (AtomicUsize::new(0), Mutex::new(None));
+            let state = Ok((true, false));
+            profiles.push(Profile {
+                job,
+                key,
+                group: None,
+                users,
+                held,
+                state,
+            });
+            profiles.len() - 1
+        });
+        if spec.action == RunAction::Profile {
+            profiles[p].group = Some(g);
+        } else {
+            *profiles[p].users.get_mut() += 1;
+            dependents.push((g, p));
+        }
+    }
+
+    // Profiles read but not asked for: the memo's copy is shared, one in
+    // the store is decoded by each dependent on its own worker, and the
+    // rest simulate below.
+    let mut to_simulate: Vec<usize> = Vec::new();
+    for (p, profile) in profiles.iter_mut().enumerate() {
+        if let Some(f) = memo.as_deref().and_then(|m| m.get(&profile.key)) {
+            *profile
+                .held
+                .get_mut()
+                .expect("no worker locks a profile between stages") = Some(Arc::clone(f));
+        } else if profile.group.is_some()
+            || !how.store.is_some_and(|s| s.contains_run(&profile.key))
+        {
+            to_simulate.push(p);
+        }
+    }
+    // A simulated profile stays in memory for its dependents when the
+    // caller keeps a memo (it is there anyway), when it cannot be
+    // reloaded, or when this stage holds no more profiles than there are
+    // workers; otherwise each dependent decodes its own copy. Holding all
+    // of them took a cold 288-point sweep (24 profiles, 2 workers) from
+    // ~21 MB to ~49 MB peak RSS.
+    let needed = to_simulate
+        .iter()
+        .filter(|&&p| *profiles[p].users.get_mut() > 0)
+        .count();
+    let hold_all = keep || how.store.is_none() || needed <= how.threads.max(1);
+    let scratch = ExecMetrics::new();
+    let metrics = how.metrics.unwrap_or(&scratch);
+    let results = try_parallel_map_metrics(
+        how.threads,
+        to_simulate.clone(),
+        metrics,
+        None,
+        &how.opts,
+        |_, &p| {
+            let profile = &profiles[p];
+            let progress = profile.group.and(how.progress);
+            let (f, persisted, resumed) = simulate(how, profile.job, &profile.key, progress, None);
+            let values: Vec<T> = profile.group.map_or(Vec::new(), |g| {
+                groups[g]
+                    .iter()
+                    .map(|&i| finish(i, &profile.key, &f))
+                    .collect()
+            });
+            let hold = profile.users.load(Ordering::SeqCst) > 0 && (hold_all || !persisted);
+            (
+                values,
                 persisted,
                 resumed,
-            };
-        }
-        let profile_outcome = RunSpec {
-            workload: self.workload,
-            action: RunAction::Profile,
-        }
-        .execute_with_progress(cfg, store, None);
-        let mut persisted = profile_outcome.persisted;
-        let profile = profile_outcome.run;
-        let (run, resumed) = match self.action {
-            RunAction::Static(policy) => {
-                let (run, resumed) = run_with_recovery(
-                    || runner::build_static_sim(cfg, &wl, policy, &profile.table),
-                    &key,
-                    &label,
-                    store,
-                    progress,
-                );
-                if let Some(s) = store {
-                    persisted &= s.store_run(&key, &run);
+                (keep || hold).then(|| Arc::new(f)),
+            )
+        },
+    );
+    let mut profile_sims = 0;
+    for (p, result) in to_simulate.into_iter().zip(results) {
+        let profile = &mut profiles[p];
+        let members = profile.group.map_or(&[][..], |g| &groups[g]);
+        match result {
+            Ok((values, persisted, resumed, f)) => {
+                profile.state = Ok((persisted, resumed));
+                for (&i, value) in members.iter().zip(values) {
+                    out[i] = answer(simulated(resumed), persisted, value);
                 }
-                (run, resumed)
-            }
-            RunAction::Migration(scheme) => {
-                let (run, resumed) = run_with_recovery(
-                    || runner::build_migration_sim(cfg, &wl, scheme, &profile.table),
-                    &key,
-                    &label,
-                    store,
-                    progress,
-                );
-                if let Some(s) = store {
-                    persisted &= s.store_run(&key, &run);
+                profile_sims += u64::from(profile.group.is_none());
+                if let (Some(m), Some(f)) = (memo.as_deref_mut(), &f) {
+                    m.insert(profile.key.clone(), Arc::clone(f));
                 }
-                (run, resumed)
-            }
-            RunAction::Annotated => {
-                let set = runner::build_annotated_sim(cfg, &wl, &profile.table).1;
-                let (run, resumed) = run_with_recovery(
-                    || runner::build_annotated_sim(cfg, &wl, &profile.table).0,
-                    &key,
-                    &label,
-                    store,
-                    progress,
-                );
-                if let Some(s) = store {
-                    persisted &= s.store_annotated(&key, &run, &set);
+                if *profile.users.get_mut() > 0 {
+                    *profile
+                        .held
+                        .get_mut()
+                        .expect("no worker locks a profile between stages") = f;
                 }
-                (run, resumed)
             }
-            RunAction::Profile => unreachable!("handled above"),
-        };
-        ExecOutcome {
-            run,
-            persisted,
-            resumed: profile_outcome.resumed || resumed,
+            Err(e) => {
+                for &i in members {
+                    out[i] = Some(Err(e.to_string()));
+                }
+                let wl = profile.job.1.workload.name();
+                profile.state = Err(format!("profile {wl}/{PROFILE_POLICY} failed: {e}"));
+            }
         }
     }
+
+    // The runs that read a profile, grouped by it so that each profile
+    // is in memory only while its dependents run.
+    dependents.retain(|&(g, p)| match &profiles[p].state {
+        Ok(_) => true,
+        Err(why) => {
+            for &i in &groups[g] {
+                out[i] = Some(Err(format!("skipped: {why}")));
+            }
+            false
+        }
+    });
+    dependents.sort_by_key(|&(_, p)| p);
+    let results = try_parallel_map_metrics(
+        how.threads,
+        dependents.clone(),
+        metrics,
+        None,
+        &how.opts,
+        |_, &(g, p)| {
+            let (job, key) = (jobs[groups[g][0]], &keys[groups[g][0]]);
+            let profile = profiles[p].acquire(how);
+            let (f, persisted, resumed) =
+                simulate(how, job, key, how.progress, Some(&profile.run.table));
+            drop(profile);
+            profiles[p].release();
+            let values: Vec<T> = groups[g].iter().map(|&i| finish(i, key, &f)).collect();
+            (values, persisted, resumed, keep.then(|| Arc::new(f)))
+        },
+    );
+    for ((g, p), result) in dependents.into_iter().zip(results) {
+        match result {
+            Ok((values, persisted, resumed, f)) => {
+                let (profile_persisted, profile_resumed) = profiles[p]
+                    .state
+                    .clone()
+                    .expect("the dependents of a failed profile were skipped");
+                for (&i, value) in groups[g].iter().zip(values) {
+                    let tier = simulated(resumed || profile_resumed);
+                    out[i] = answer(tier, persisted && profile_persisted, value);
+                }
+                if let (Some(m), Some(f)) = (memo.as_deref_mut(), f) {
+                    m.insert(keys[groups[g][0]].clone(), f);
+                }
+            }
+            Err(e) => {
+                for &i in &groups[g] {
+                    out[i] = Some(Err(e.to_string()));
+                }
+            }
+        }
+    }
+
+    let jobs = out
+        .into_iter()
+        .map(|r| r.expect("every job is answered"))
+        .collect();
+    Resolution { jobs, profile_sims }
 }
 
 #[cfg(test)]

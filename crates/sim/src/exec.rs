@@ -480,11 +480,12 @@ where
     let queues = Queues::new(workers, items);
     let (tx, rx) = mpsc::channel::<(usize, Result<R, TaskFailure>)>();
     std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let tx = tx.clone();
             let queues = &queues;
             let run_one = &run_one;
-            s.spawn(move || {
+            handles.push(s.spawn(move || {
                 while let Some((i, item, stolen)) = queues.pop(w) {
                     if stolen {
                         metrics.steals.fetch_add(1, Ordering::Relaxed);
@@ -494,12 +495,19 @@ where
                         return; // receiver gone: caller is unwinding
                     }
                 }
-            });
+            }));
         }
         drop(tx);
         let mut slots: Vec<Option<Result<R, TaskFailure>>> = (0..n).map(|_| None).collect();
         for (i, r) in rx {
             slots[i] = Some(r);
+        }
+        // Join the workers rather than only waiting for their closures:
+        // the allocator hands a thread's arena to a new thread only once
+        // the old thread has exited, and a caller that starts the next
+        // stage at once would otherwise grow a fresh arena per stage.
+        for handle in handles {
+            let _ = handle.join(); // a lost worker already shows as an empty slot
         }
         slots
     })

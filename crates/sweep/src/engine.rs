@@ -1,28 +1,31 @@
 //! Sweep execution: local (parallel, store-deduped) and remote
 //! (fanned out through a running `ramp-served`).
 //!
-//! Every point executes through [`RunSpec::execute`] — the same choke
-//! point the bench harness and the server use — so each point is keyed
-//! into the content-addressed run store and a repeated or overlapping
-//! sweep re-simulates nothing. A killed sweep resumes the same way:
+//! A local sweep hands all its points to [`resolve`] as one batch of
+//! jobs — the one execution path the bench harness and the server use
+//! too — so each point is keyed into the content-addressed run store, a
+//! repeated or overlapping sweep re-simulates nothing, and each
+//! missing DDR-only profile the points read is simulated once per
+//! batch, with or without a store. A killed sweep resumes the same way:
 //! completed points are already persisted, so re-running the sweep
 //! re-executes only the missing ones and the final artifact bytes are
 //! identical to an uninterrupted run.
 //!
-//! Chaos site `sweep.point` fires per point task (injected delays and
-//! panics, under the executor's retry budget); results are collected in
-//! point-enumeration order, so output is byte-identical at any thread
+//! Chaos site `sweep.point` fires per simulation task (injected delays
+//! and panics, under the executor's retry budget); results are collected
+//! in point-enumeration order, so output is byte-identical at any thread
 //! count.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ramp_core::config::SystemConfig;
 use ramp_core::system::RunResult;
 use ramp_serve::client::Client;
-use ramp_serve::spec::{RunAction, RunSpec};
-use ramp_serve::store::{RunKind, RunStore};
+use ramp_serve::spec::{resolve, Job, Resolver, RunAction, RunSpec, Tier};
+use ramp_serve::store::RunStore;
 use ramp_sim::chaos::{self, Chaos};
-use ramp_sim::exec::{parallel_map, try_parallel_map, TaskOptions};
+use ramp_sim::exec::TaskOptions;
 
 use crate::pareto::{self, Objective};
 use crate::spec::{Strategy, SweepPoint, SweepSpec};
@@ -152,7 +155,7 @@ pub struct SweepCounters {
     pub cached: u64,
     /// Points that had to be simulated (any rung).
     pub simulated: u64,
-    /// Intermediate DDR-only profiles simulated by the prewarm phase.
+    /// DDR-only profiles simulated only because points read them.
     pub profile_sims: u64,
 }
 
@@ -261,9 +264,9 @@ pub fn run_local_with(
     })
 }
 
-/// Executes one batch of points in parallel, serving from the store
-/// where possible; returns rows in point order or the joined failure
-/// messages (completed points stay persisted, so a re-run resumes).
+/// Executes one batch of points through [`resolve`]; returns rows in
+/// point order or the joined failure messages (completed points stay
+/// persisted, so a re-run resumes).
 fn execute_points(
     points: &[SweepPoint],
     store: Option<&RunStore>,
@@ -271,74 +274,37 @@ fn execute_points(
     chaos: Option<Arc<Chaos>>,
     counters: &mut SweepCounters,
 ) -> Result<Vec<PointRow>, String> {
-    // Warm lookups fan out across the sweep's threads. A worker turns each
-    // decoded entry into its row before taking the next point, so no more
-    // than one decoded entry per worker is alive at a time.
-    let mut rows: Vec<Option<PointRow>> = match store {
-        Some(s) => parallel_map(threads, points.iter().collect(), |_, point| {
-            let key = point.key();
-            let run = match point.spec.kind() {
-                RunKind::Annotated => s.load_annotated(&key).map(|(run, _)| run),
-                _ => s.load_run(&key),
-            }?;
-            Some(PointRow::from_run(point, key, &run))
-        }),
-        None => vec![None; points.len()],
-    };
-    let pending: Vec<(usize, &SweepPoint)> = points
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| rows[*i].is_none())
-        .collect();
-    counters.cached += (points.len() - pending.len()) as u64;
-
-    let opts = TaskOptions {
-        retries: chaos.as_ref().map_or(0, |c| c.retries()),
-        chaos: None, // the sweep rolls its own site below
-    };
-
-    // Prewarm the distinct DDR-only profiles the pending points depend
-    // on, so concurrent points of one workload don't race to simulate
-    // the same profile. Best-effort: a failed prewarm resurfaces (and
-    // retries) when the dependent point executes.
-    if store.is_some() {
-        let mut profiles: Vec<SweepPoint> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for (_, point) in &pending {
-            if point.spec.action == RunAction::Profile {
-                continue;
-            }
-            let profile = SweepPoint {
-                cfg: point.cfg.clone(),
-                spec: RunSpec {
-                    workload: point.spec.workload,
-                    action: RunAction::Profile,
-                },
-                knobs: Vec::new(),
-            };
-            let key = profile.key();
-            if seen.insert(key.clone()) && store.is_some_and(|s| s.load_run(&key).is_none()) {
-                profiles.push(profile);
-            }
+    let roll = |_: &SystemConfig, _: RunSpec| {
+        if let Some(c) = &chaos {
+            c.maybe_slow(SITE_POINT);
+            c.maybe_panic(SITE_POINT);
         }
-        let warmed = try_parallel_map(threads, profiles, &opts, |_, p| {
-            roll_point_site(&chaos);
-            p.spec.execute(&p.cfg, store);
-        });
-        counters.profile_sims += warmed.iter().filter(|r| r.is_ok()).count() as u64;
-    }
-
-    let outcomes = try_parallel_map(threads, pending.clone(), &opts, |_, (_, point)| {
-        roll_point_site(&chaos);
-        let run = point.spec.execute(&point.cfg, store);
-        PointRow::from_run(point, point.key(), &run)
+    };
+    let resolver = Resolver {
+        threads,
+        opts: TaskOptions {
+            retries: chaos.as_ref().map_or(0, |c| c.retries()),
+            chaos: None, // the sweep rolls its own site
+        },
+        on_simulate: Some(&roll),
+        ..Resolver::new(store)
+    };
+    let jobs: Vec<Job<'_>> = points.iter().map(|p| (&p.cfg, p.spec)).collect();
+    // Each worker turns a run into its row before taking the next point.
+    let resolution = resolve(&jobs, &resolver, None, |i, key, f| {
+        PointRow::from_run(&points[i], key.to_string(), &f.run)
     });
+    counters.profile_sims += resolution.profile_sims;
+    let mut rows = Vec::with_capacity(points.len());
     let mut failures = Vec::new();
-    for ((i, point), outcome) in pending.iter().zip(outcomes) {
+    for (point, outcome) in points.iter().zip(resolution.jobs) {
         match outcome {
-            Ok(row) => {
-                counters.simulated += 1;
-                rows[*i] = Some(row);
+            Ok(done) => {
+                match done.tier {
+                    Tier::Memo | Tier::Store => counters.cached += 1,
+                    Tier::Simulated | Tier::Resumed => counters.simulated += 1,
+                }
+                rows.push(done.value);
             }
             Err(e) => failures.push(format!("{}: {e}", point.label())),
         }
@@ -352,17 +318,7 @@ fn execute_points(
             failures.join("; ")
         ));
     }
-    Ok(rows
-        .into_iter()
-        .map(|r| r.expect("all points filled"))
-        .collect())
-}
-
-fn roll_point_site(chaos: &Option<Arc<Chaos>>) {
-    if let Some(c) = chaos {
-        c.maybe_slow(SITE_POINT);
-        c.maybe_panic(SITE_POINT);
-    }
+    Ok(rows)
 }
 
 /// Fans the sweep out to a running `ramp-served` through the batch

@@ -9,8 +9,8 @@
 //!    knobs, expanded into a canonical cartesian grid, a seeded random
 //!    subsample, or an adaptive successive-halving schedule.
 //! 2. **[`engine`]** — executes the points through
-//!    [`ramp_serve::spec::RunSpec::execute`], the same store-first choke
-//!    point the bench harness and the server use, on the
+//!    [`ramp_serve::spec::resolve`], the one store-first execution path
+//!    the bench harness and the server use too, on the
 //!    `ramp_sim::exec` work-stealing executor. Every point is keyed into
 //!    the content-addressed run store, so a repeated or overlapping
 //!    sweep re-simulates nothing and a chaos-killed sweep resumes by

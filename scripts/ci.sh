@@ -233,26 +233,42 @@ echo "==> golden snapshots @ RAMP_THREADS=4"
 RAMP_THREADS=4 cargo test -q --offline -p ramp --test golden_stats
 
 # Warm-start gate: a second invocation of an experiment binary must be
-# served entirely from the run store — zero simulations, byte-identical
-# stdout — and the table epilogue must show actual store hits.
-echo "==> warm-start byte-identity (fig05_perf_static)"
+# served entirely from the run store — byte-identical stdout and zero
+# simulations. The count comes from the `[resolve]` section of the
+# RAMP_STATS=table epilogue (how many runs each tier answered); a cold
+# run over a fresh store must report simulations there, so the check
+# can fail. The table epilogue must also show actual store hits.
+tier() { # tier NAME < table-output
+    sed -n '/^\[resolve\]/,/^\[[a-z]/p' | grep -oE "^  $1 = [0-9]+" | grep -oE '[0-9]+$'
+}
+warm_start_gate() { # warm_start_gate BIN ENV... (outputs in $STORE_DIR/BIN-*)
+    local bin="$1" out="$STORE_DIR/$1"
+    shift
+    echo "==> warm-start: byte-identity and zero simulations ($bin)"
+    env "$@" RAMP_STORE_DIR="$out-store" RAMP_STATS=json "target/release/$bin" \
+        > "$out-cold.out" 2> "$out-cold.err"
+    env "$@" RAMP_STORE_DIR="$out-store" RAMP_STATS=json "target/release/$bin" \
+        > "$out-warm.out" 2> "$out-warm.err"
+    cmp "$out-cold.out" "$out-warm.out" \
+        || { echo "FAIL: $bin warm stdout differs from cold stdout"; exit 1; }
+    env "$@" RAMP_STORE_DIR="$out-fresh" RAMP_STATS=table "target/release/$bin" \
+        > "$out-fresh.table" 2>/dev/null
+    [ "$(tier simulated < "$out-fresh.table")" -gt 0 ] \
+        || { echo "FAIL: $bin cold run reported no simulations"; exit 1; }
+    env "$@" RAMP_STORE_DIR="$out-store" RAMP_STATS=table "target/release/$bin" \
+        > "$out-warm.table" 2>/dev/null
+    for name in simulated resumed profile_sims; do
+        [ "$(tier $name < "$out-warm.table")" = 0 ] \
+            || { echo "FAIL: $bin warm run reported $name > 0"; exit 1; }
+    done
+    grep -A6 '\[store\]' "$out-warm.table" | grep -qE 'hits = [1-9]' \
+        || { echo "FAIL: $bin store hits not reported in table epilogue"; exit 1; }
+}
 STORE_DIR="$(mktemp -d)"
-WARM_ENV=(RAMP_STORE_DIR="$STORE_DIR" RAMP_WORKLOADS=lbm,mcf RAMP_INSTS=100000)
 trap 'rm -rf "$STORE_DIR"' EXIT
-env "${WARM_ENV[@]}" RAMP_STATS=json target/release/fig05_perf_static \
-    > "$STORE_DIR/cold.out" 2> "$STORE_DIR/cold.err"
-env "${WARM_ENV[@]}" RAMP_STATS=json target/release/fig05_perf_static \
-    > "$STORE_DIR/warm.out" 2> "$STORE_DIR/warm.err"
-cmp "$STORE_DIR/cold.out" "$STORE_DIR/warm.out" \
-    || { echo "FAIL: warm stdout differs from cold stdout"; exit 1; }
-if grep -qE '^\[(profile|static)\]' "$STORE_DIR/warm.err"; then
-    echo "FAIL: warm run simulated instead of hitting the store"
-    exit 1
-fi
-env "${WARM_ENV[@]}" RAMP_STATS=table target/release/fig05_perf_static \
-    > "$STORE_DIR/table.out" 2>/dev/null
-grep -A6 '\[store\]' "$STORE_DIR/table.out" | grep -qE 'hits = [1-9]' \
-    || { echo "FAIL: store hits not reported in table epilogue"; exit 1; }
+WARM_ENV=(RAMP_WORKLOADS=lbm,mcf RAMP_INSTS=100000)
+warm_start_gate fig05_perf_static "${WARM_ENV[@]}"
+warm_start_gate all_experiments RAMP_WORKLOADS=lbm,mcf RAMP_INSTS=20000
 
 # Server smoke: ramp-served + ramp-client choreography — health, submit,
 # poll, fetch-by-key, cached resubmit, a burst that must see one 429,
@@ -279,7 +295,7 @@ CHAOS_DIR="$STORE_DIR/chaos-store"
 env "${WARM_ENV[@]}" RAMP_STORE_DIR="$CHAOS_DIR" RAMP_STATS=json \
     RAMP_CHAOS="101:io=0.25,slow=1ms" target/release/fig05_perf_static \
     > "$STORE_DIR/chaos1.out" 2> "$STORE_DIR/chaos1.err"
-cmp "$STORE_DIR/cold.out" "$STORE_DIR/chaos1.out" \
+cmp "$STORE_DIR/fig05_perf_static-cold.out" "$STORE_DIR/chaos1.out" \
     || { echo "FAIL: chaos stdout differs from fault-free stdout"; exit 1; }
 
 # Besides a cut entry, plant the stray temp file a kill between a
@@ -302,7 +318,7 @@ echo "==> chaos-smoke: healing replay (seed 202)"
 env "${WARM_ENV[@]}" RAMP_STORE_DIR="$CHAOS_DIR" RAMP_STATS=json \
     RAMP_CHAOS="202:io=0.2" target/release/fig05_perf_static \
     > "$STORE_DIR/chaos2.out" 2>/dev/null
-cmp "$STORE_DIR/cold.out" "$STORE_DIR/chaos2.out" \
+cmp "$STORE_DIR/fig05_perf_static-cold.out" "$STORE_DIR/chaos2.out" \
     || { echo "FAIL: healing replay differs from fault-free stdout"; exit 1; }
 
 # Checkpoint-smoke: kill an experiment at its first checkpoint (the
