@@ -13,21 +13,70 @@
 //! page resides in at the time of the read; migration intervals are much
 //! longer than typical ACE intervals, so the attribution error is
 //! second-order (DESIGN.md).
-
-use std::collections::HashMap;
+//!
+//! Storage is a dense page arena. A [`PageIndex`], the table behind the
+//! page map too, maps each page to the slot of its inline record, handed
+//! out on the page's first touch.
+//! Records live in fixed 64-record slabs: one growing `Vec` of them
+//! would be reallocated, old and new copies side by side, as a run
+//! touches more pages. A per-access update is two bounds-checked loads
+//! and no hashing, and the index walks in page order.
+//!
+//! # Checkpoint encoding
+//!
+//! [`AvfTracker::save_state`] writes the start cycle, the touched-page
+//! count, and then per touched page in ascending page order:
+//!
+//! | field | encoding |
+//! |---|---|
+//! | page id minus (previous page id + 1) | varint |
+//! | lines whose stamp is not the start cycle | 64-bit bitmap |
+//! | `stamp - start` of each flagged line, ascending | varint each |
+//! | ACE in HBM, ACE in DDR, reads, writes | varint each |
+//!
+//! Every state has exactly one encoding, whatever order pages were
+//! first touched in, so restore-then-save reproduces a blob byte for
+//! byte.
 
 use ramp_dram::MemoryKind;
+use ramp_sim::codec::{ByteReader, ByteWriter, CodecError};
+use ramp_sim::pageindex::PageIndex;
 use ramp_sim::units::{AccessKind, Cycle, PageId, LINES_PER_PAGE};
 
-/// Per-page tracking state.
-#[derive(Debug)]
+/// Records per arena slab (35 KiB).
+const SLAB: usize = 64;
+/// Index entry of a page never touched.
+const NO_SLOT: u32 = u32::MAX;
+/// Fewest bytes one page takes in a checkpoint: a one-byte gap, the
+/// bitmap and four one-byte counters.
+const MIN_PAGE_BYTES: usize = 1 + 8 + 4;
+
+/// Per-page tracking state. `repr(C)` keeps the fields every access
+/// updates together in the record's first cache line.
+#[derive(Clone, Debug)]
+#[repr(C)]
 struct PageTrack {
-    /// Last memory access per line (fill or writeback).
-    last_access: Box<[u64; LINES_PER_PAGE]>,
+    /// Lines whose stamp is no longer the start cycle, one bit a line:
+    /// the checkpoint bitmap, kept up to date by every access.
+    flagged: u64,
     /// ACE cycles accumulated while resident in [HBM, DDR].
     ace: [u64; 2],
     reads: u64,
     writes: u64,
+    /// Last memory access per line (fill or writeback).
+    last_access: [u64; LINES_PER_PAGE],
+}
+
+impl PageTrack {
+    fn new(start: u64) -> Self {
+        PageTrack {
+            flagged: 0,
+            ace: [0, 0],
+            reads: 0,
+            writes: 0,
+            last_access: [start; LINES_PER_PAGE],
+        }
+    }
 }
 
 #[inline]
@@ -107,7 +156,13 @@ impl PageStats {
 /// ```
 #[derive(Debug)]
 pub struct AvfTracker {
-    pages: HashMap<PageId, PageTrack>,
+    /// Slot of each touched page's record (`NO_SLOT` if untouched).
+    index: PageIndex<u32>,
+    /// One record per touched page, in slabs of [`SLAB`]: a slab never
+    /// moves, so the arena grows without copying or freeing records.
+    slabs: Vec<Vec<PageTrack>>,
+    /// Records handed out.
+    touched: usize,
     start: Cycle,
 }
 
@@ -116,16 +171,50 @@ impl AvfTracker {
     /// (data loaded before the simulated window counts as written then).
     pub fn new(start: Cycle) -> Self {
         AvfTracker {
-            pages: HashMap::new(),
+            index: PageIndex::new(NO_SLOT),
+            slabs: Vec::new(),
+            touched: 0,
             start,
         }
+    }
+
+    /// The record of `page`, handing it a slot on first touch.
+    #[inline]
+    fn track_mut(&mut self, page: PageId) -> &mut PageTrack {
+        let slot = match self.index.get(page) {
+            NO_SLOT => self.add_slot(page),
+            slot => slot,
+        } as usize;
+        &mut self.slabs[slot / SLAB][slot % SLAB]
+    }
+
+    /// Gives `page` a fresh record.
+    fn add_slot(&mut self, page: PageId) -> u32 {
+        let slot = u32::try_from(self.touched).expect("touched pages fit a u32 slot");
+        self.index.set(page, slot);
+        if self.touched % SLAB == 0 {
+            self.slabs.push(Vec::with_capacity(SLAB));
+        }
+        let slab = self.slabs.last_mut().expect("a slab with room");
+        slab.push(PageTrack::new(self.start.0));
+        self.touched += 1;
+        slot
+    }
+
+    /// Every touched page with its record, in ascending page order.
+    fn iter_sorted(&self) -> impl Iterator<Item = (PageId, &PageTrack)> + '_ {
+        self.index.iter().map(move |(page, slot)| {
+            let slot = slot as usize;
+            (page, &self.slabs[slot / SLAB][slot % SLAB])
+        })
     }
 
     /// Records one memory-level access.
     ///
     /// # Panics
     ///
-    /// Panics if `line_in_page >= 64` or `now` precedes the start cycle.
+    /// Panics if `line_in_page >= 64`, `now` precedes the start cycle, or
+    /// `page` lies beyond the index (ids from `4096 << 22` on).
     pub fn on_access(
         &mut self,
         page: PageId,
@@ -135,14 +224,12 @@ impl AvfTracker {
         resident_in: MemoryKind,
     ) {
         assert!(line_in_page < LINES_PER_PAGE, "line index out of page");
+        assert!(self.index.covers(page), "page id beyond the tracker index");
         assert!(now >= self.start, "access before tracker start");
-        let start = self.start.0;
-        let track = self.pages.entry(page).or_insert_with(|| PageTrack {
-            last_access: Box::new([start; LINES_PER_PAGE]),
-            ace: [0, 0],
-            reads: 0,
-            writes: 0,
-        });
+        // Cores' clocks differ, so a line's stamp may move back to `start`.
+        let moved = u64::from(now != self.start) << line_in_page;
+        let track = self.track_mut(page);
+        track.flagged = track.flagged & !(1 << line_in_page) | moved;
         let last = &mut track.last_access[line_in_page];
         match kind {
             AccessKind::Read => {
@@ -157,54 +244,78 @@ impl AvfTracker {
         *last = now.0;
     }
 
-    /// Number of pages touched so far.
-    pub fn touched_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Serializes the tracker (sorted by page id so the byte stream is
-    /// independent of `HashMap` iteration order).
-    pub fn save_state(&self, w: &mut ramp_sim::codec::ByteWriter) {
-        w.u64(self.start.0);
-        let mut pages: Vec<(&PageId, &PageTrack)> = self.pages.iter().collect();
-        pages.sort_by_key(|(p, _)| **p);
-        w.u32(pages.len() as u32);
-        for (page, t) in pages {
-            w.u64(page.0);
-            for &last in t.last_access.iter() {
-                w.u64(last);
+    /// Serializes the tracker in the compact, canonical encoding of the
+    /// module docs.
+    pub fn save_state(&self, w: &mut ByteWriter) {
+        let start = self.start.0;
+        w.u64(start);
+        w.u32(self.touched as u32);
+        let mut next = 0u64;
+        for (page, t) in self.iter_sorted() {
+            w.varint(page.0 - next);
+            next = page.0 + 1;
+            w.u64(t.flagged);
+            let mut rest = t.flagged;
+            while rest != 0 {
+                w.varint(t.last_access[rest.trailing_zeros() as usize] - start);
+                rest &= rest - 1;
             }
-            w.u64(t.ace[0]);
-            w.u64(t.ace[1]);
-            w.u64(t.reads);
-            w.u64(t.writes);
+            for v in [t.ace[0], t.ace[1], t.reads, t.writes] {
+                w.varint(v);
+            }
         }
     }
 
-    /// Restores the state captured by [`AvfTracker::save_state`], replacing
-    /// the tracker's contents.
+    /// Restores the state captured by [`AvfTracker::save_state`],
+    /// replacing the tracker's contents.
+    ///
+    /// `footprint` lists, ascending, every page the run can touch. A page
+    /// outside it is `Malformed`, and so is a page count beyond its
+    /// length, so the index and arena a restore builds never outgrow what
+    /// the footprint bounds, whatever the blob claims.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CodecError`] on truncated or inconsistent bytes; the
+    /// tracker may be partially overwritten then.
     pub fn restore_state(
         &mut self,
-        r: &mut ramp_sim::codec::ByteReader,
-    ) -> Result<(), ramp_sim::codec::CodecError> {
-        self.start = Cycle(r.u64()?);
-        let n = r.seq_len(8 + 8 * LINES_PER_PAGE + 32)?;
-        let mut pages = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let page = PageId(r.u64()?);
-            let mut last_access = Box::new([0u64; LINES_PER_PAGE]);
-            for last in last_access.iter_mut() {
-                *last = r.u64()?;
-            }
-            let track = PageTrack {
-                last_access,
-                ace: [r.u64()?, r.u64()?],
-                reads: r.u64()?,
-                writes: r.u64()?,
-            };
-            pages.insert(page, track);
+        r: &mut ByteReader,
+        footprint: &[PageId],
+    ) -> Result<(), CodecError> {
+        let start = r.u64()?;
+        let n = r.seq_len(MIN_PAGE_BYTES)?;
+        if n > footprint.len() {
+            return Err(CodecError::Malformed("more tracked pages than footprint"));
         }
-        self.pages = pages;
+        self.start = Cycle(start);
+        self.index.clear();
+        self.slabs.clear();
+        self.touched = 0;
+        let mut next = 0u64;
+        for _ in 0..n {
+            let page = next
+                .checked_add(r.varint()?)
+                .filter(|p| footprint.binary_search(&PageId(*p)).is_ok())
+                .ok_or(CodecError::Malformed("tracked page outside footprint"))?;
+            next = page + 1;
+            let slot = self.add_slot(PageId(page)) as usize;
+            let t = &mut self.slabs[slot / SLAB][slot % SLAB];
+            let mut flagged = r.u64()?;
+            t.flagged = flagged;
+            while flagged != 0 {
+                // A flagged stamp differs from `start`: 0 is never written.
+                let d = r.varint()?;
+                t.last_access[flagged.trailing_zeros() as usize] = start
+                    .checked_add(d)
+                    .filter(|_| d != 0)
+                    .ok_or(CodecError::Malformed("bad line stamp"))?;
+                flagged &= flagged - 1;
+            }
+            t.ace = [r.varint()?, r.varint()?];
+            t.reads = r.varint()?;
+            t.writes = r.varint()?;
+        }
         Ok(())
     }
 
@@ -220,9 +331,8 @@ impl AvfTracker {
     pub fn finish(self, end: Cycle) -> StatsTable {
         assert!(end >= self.start, "end before start");
         let total = (end - self.start).0;
-        let mut stats: Vec<PageStats> = self
-            .pages
-            .into_iter()
+        let stats: Vec<PageStats> = self
+            .iter_sorted()
             .map(|(page, t)| {
                 let ace_total = t.ace[0] + t.ace[1];
                 PageStats {
@@ -239,7 +349,6 @@ impl AvfTracker {
                 }
             })
             .collect();
-        stats.sort_by_key(|s| s.page);
         StatsTable {
             stats,
             total_cycles: total,
@@ -328,6 +437,7 @@ impl StatsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ramp_sim::pageindex::{CHUNK_BITS, OUTER_CHUNKS};
 
     const D: MemoryKind = MemoryKind::Ddr;
     const H: MemoryKind = MemoryKind::Hbm;
@@ -453,5 +563,70 @@ mod tests {
     #[should_panic(expected = "out of page")]
     fn line_out_of_range_panics() {
         tracker().on_access(PageId(0), 64, AccessKind::Read, Cycle(0), D);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the tracker index")]
+    fn page_beyond_index_panics() {
+        let far = PageId((OUTER_CHUNKS as u64) << CHUNK_BITS);
+        tracker().on_access(far, 0, AccessKind::Read, Cycle(0), D);
+    }
+
+    fn saved(t: &AvfTracker) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        t.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn pages_finish_and_save_in_page_order_whatever_the_touch_order() {
+        let pages = [
+            PageId((3 << CHUNK_BITS) | 2),
+            PageId(5),
+            PageId(1 << CHUNK_BITS),
+            PageId(0),
+        ];
+        let mut a = AvfTracker::new(Cycle(10));
+        let mut b = AvfTracker::new(Cycle(10));
+        for (i, &p) in pages.iter().enumerate() {
+            a.on_access(p, i, AccessKind::Read, Cycle(100 + i as u64), D);
+        }
+        for (i, &p) in pages.iter().enumerate().rev() {
+            b.on_access(p, i, AccessKind::Read, Cycle(100 + i as u64), D);
+        }
+        assert_eq!(saved(&a), saved(&b));
+        let mut sorted = pages.to_vec();
+        sorted.sort();
+        let got: Vec<PageId> = a
+            .finish(Cycle(200))
+            .pages()
+            .iter()
+            .map(|s| s.page)
+            .collect();
+        assert_eq!(got, sorted);
+    }
+
+    #[test]
+    fn restore_round_trips_and_bounds_pages_by_footprint() {
+        let mut t = AvfTracker::new(Cycle(7));
+        t.on_access(PageId(3), 0, AccessKind::Write, Cycle(7), D);
+        t.on_access(PageId(3), 63, AccessKind::Read, Cycle(1 << 40), H);
+        t.on_access(PageId(9), 5, AccessKind::Read, Cycle(20), D);
+        let blob = saved(&t);
+        let footprint: Vec<PageId> = (0..16).map(PageId).collect();
+        let mut back = tracker();
+        back.restore_state(&mut ByteReader::new(&blob), &footprint)
+            .unwrap();
+        assert_eq!(saved(&back), blob);
+        // A page outside the footprint, or more pages than it holds.
+        assert!(tracker()
+            .restore_state(&mut ByteReader::new(&blob), &footprint[..4])
+            .is_err());
+        assert!(tracker()
+            .restore_state(&mut ByteReader::new(&blob), &footprint[..1])
+            .is_err());
+        let a = t.finish(Cycle(1 << 41));
+        let b = back.finish(Cycle(1 << 41));
+        assert_eq!(a.pages(), b.pages());
     }
 }

@@ -5,26 +5,17 @@
 //! DRAM address mappings decode, so migrating a page genuinely changes its
 //! channel/bank/row placement. Freed frames are recycled LIFO.
 //!
-//! Storage is a flat two-level table instead of a `HashMap`: the trace
-//! layer bases each core's pages at `(core as u64) << 22`, so page ids
-//! cluster into a handful of dense runs. The outer level indexes
-//! `page >> 22` directly; each inner chunk is a plain `Vec<u64>` of
-//! packed entries indexed by the low 22 bits — the per-access `resolve`
-//! is two bounds-checked loads, no hashing. Pages outside the outer
-//! range (arbitrary ids from tests or tools) fall back to a spill map,
-//! which never triggers on the simulator's own traffic.
+//! Storage is a [`PageIndex`] of packed entries instead of a `HashMap`,
+//! so the per-access `resolve` is two bounds-checked loads, no hashing.
+//! Pages outside the index (arbitrary ids from tests or tools) fall back
+//! to a spill map, which never triggers on the simulator's own traffic.
 
 use std::collections::HashMap;
 
 use ramp_dram::MemoryKind;
+use ramp_sim::pageindex::PageIndex;
 use ramp_sim::units::{LineAddr, PageId, LINES_PER_PAGE};
 
-/// Bits of page id covered by one inner chunk (matches the trace
-/// layer's per-core base-page stride).
-const CHUNK_BITS: u32 = 22;
-/// Outer-table capacity in chunks: covers every page id below
-/// `OUTER_CHUNKS << CHUNK_BITS` (cores are 16 today; 4096 leaves room).
-const OUTER_CHUNKS: usize = 4096;
 /// Packed-entry sentinel: page not bound.
 const EMPTY: u64 = u64::MAX;
 /// Packed-entry kind bit (set = DDR, clear = HBM).
@@ -51,9 +42,9 @@ fn unpack(entry: u64) -> (MemoryKind, u64) {
 /// Page-to-frame binding for the two memories.
 #[derive(Debug)]
 pub struct PageMap {
-    /// Outer level: chunk index -> packed inner table (lazily grown).
-    chunks: Vec<Vec<u64>>,
-    /// Bindings for pages past the outer range (rare; tests/tools only).
+    /// Packed entry of every bound page inside the index.
+    index: PageIndex<u64>,
+    /// Bindings for pages past the index (rare; tests/tools only).
     spill: HashMap<PageId, u64>,
     /// Total bound pages (maintained, not recounted).
     bound: usize,
@@ -83,7 +74,7 @@ impl PageMap {
     /// effectively unbounded at our scale).
     pub fn new(hbm_capacity_pages: u64) -> Self {
         PageMap {
-            chunks: Vec::new(),
+            index: PageIndex::new(EMPTY),
             spill: HashMap::new(),
             bound: 0,
             hbm_resident: 0,
@@ -95,54 +86,25 @@ impl PageMap {
         }
     }
 
-    /// Splits a page id into (chunk index, offset) when it falls inside
-    /// the outer range.
-    #[inline]
-    fn split(page: PageId) -> Option<(usize, usize)> {
-        let chunk = (page.0 >> CHUNK_BITS) as usize;
-        if page.0 >> CHUNK_BITS < OUTER_CHUNKS as u64 {
-            Some((chunk, (page.0 & ((1 << CHUNK_BITS) - 1)) as usize))
-        } else {
-            None
-        }
-    }
-
     /// The packed entry for `page`, or `EMPTY`.
     #[inline]
     fn entry(&self, page: PageId) -> u64 {
-        match Self::split(page) {
-            Some((c, off)) => self
-                .chunks
-                .get(c)
-                .and_then(|inner| inner.get(off))
-                .copied()
-                .unwrap_or(EMPTY),
-            None => self.spill.get(&page).copied().unwrap_or(EMPTY),
+        if self.index.covers(page) {
+            self.index.get(page)
+        } else {
+            self.spill.get(&page).copied().unwrap_or(EMPTY)
         }
     }
 
     /// Writes `entry` for `page`, growing tables as needed. Callers
     /// maintain `bound` / `hbm_resident` themselves.
     fn set_entry(&mut self, page: PageId, entry: u64) {
-        match Self::split(page) {
-            Some((c, off)) => {
-                if c >= self.chunks.len() {
-                    self.chunks.resize_with(c + 1, Vec::new);
-                }
-                let inner = &mut self.chunks[c];
-                if off >= inner.len() {
-                    let new_len = (off + 1).next_power_of_two().max(64);
-                    inner.resize(new_len, EMPTY);
-                }
-                inner[off] = entry;
-            }
-            None => {
-                if entry == EMPTY {
-                    self.spill.remove(&page);
-                } else {
-                    self.spill.insert(page, entry);
-                }
-            }
+        if self.index.covers(page) {
+            self.index.set(page, entry);
+        } else if entry == EMPTY {
+            self.spill.remove(&page);
+        } else {
+            self.spill.insert(page, entry);
         }
     }
 
@@ -242,19 +204,13 @@ impl PageMap {
     }
 
     /// Iterates every bound `(page, packed entry)` in ascending page-id
-    /// order. Chunked pages come out sorted by construction (ascending
-    /// chunk index, ascending offset); spill pages all sort after them
-    /// (their ids exceed the outer range), so appending the sorted spill
-    /// keeps the whole stream ordered.
+    /// order. The index yields its pages sorted; spill pages all sort
+    /// after them (their ids exceed the index), so appending the sorted
+    /// spill keeps the whole stream ordered.
     fn iter_sorted(&self) -> impl Iterator<Item = (PageId, u64)> + '_ {
-        let chunked = self.chunks.iter().enumerate().flat_map(|(c, inner)| {
-            inner.iter().enumerate().filter_map(move |(off, &e)| {
-                (e != EMPTY).then(|| (PageId(((c as u64) << CHUNK_BITS) | off as u64), e))
-            })
-        });
         let mut spill: Vec<(PageId, u64)> = self.spill.iter().map(|(&p, &e)| (p, e)).collect();
         spill.sort_by_key(|(p, _)| *p);
-        chunked.chain(spill)
+        self.index.iter().chain(spill)
     }
 
     /// Pages currently resident in HBM, ascending.
@@ -312,25 +268,34 @@ impl PageMap {
     }
 
     /// Restores the state captured by [`PageMap::save_state`] into a map
-    /// of identical HBM capacity.
+    /// of identical HBM capacity. Every page must be in `footprint`
+    /// (ascending), so a hostile page id cannot size the table.
     pub(crate) fn restore_state(
         &mut self,
         r: &mut ramp_sim::codec::ByteReader,
+        footprint: &[PageId],
     ) -> Result<(), ramp_sim::codec::CodecError> {
         use ramp_sim::codec::CodecError;
         let n = r.seq_len(17)?;
-        self.chunks.clear();
+        self.index.clear();
         self.spill.clear();
         self.bound = 0;
         self.hbm_resident = 0;
         for _ in 0..n {
             let page = PageId(r.u64()?);
+            if footprint.binary_search(&page).is_err() {
+                return Err(CodecError::Malformed("bound page outside footprint"));
+            }
             let kind = match r.u8()? {
                 0 => MemoryKind::Hbm,
                 1 => MemoryKind::Ddr,
                 _ => return Err(CodecError::Malformed("bad memory-kind tag")),
             };
-            self.set_entry(page, pack(kind, r.u64()?));
+            let frame = r.u64()?;
+            if frame >= KIND_DDR {
+                return Err(CodecError::Malformed("frame number out of range"));
+            }
+            self.set_entry(page, pack(kind, frame));
             self.bound += 1;
             if kind == MemoryKind::Hbm {
                 self.hbm_resident += 1;
@@ -384,6 +349,7 @@ impl PageMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ramp_sim::pageindex::{CHUNK_BITS, OUTER_CHUNKS};
 
     #[test]
     fn first_touch_binds_to_ddr() {

@@ -99,8 +99,9 @@ impl RunResult {
 /// the persistent run store, under a distinct kind).
 pub const CHECKPOINT_KIND: u8 = 3;
 /// Version of the checkpoint payload layout. Bump on any layout change so
-/// stale checkpoints are rejected instead of misread.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// stale checkpoints are rejected instead of misread. Version 2 carries
+/// the AVF tracker in its compact encoding (`ramp_avf::tracker`).
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Epoch-granular observation hooks for [`SystemSim::run_with_hooks`].
 ///
@@ -148,7 +149,11 @@ pub struct SystemSim {
     now: u64,
     demand_hbm: u64,
     demand_ddr: u64,
+    /// Every page the workload's regions span, ascending.
     footprint: Vec<PageId>,
+    /// Payload capacity of the next checkpoint: the last one's length
+    /// plus slack, so a checkpoint is written into one buffer.
+    ckpt_capacity: std::cell::Cell<usize>,
     /// Per-core MSHR occupancy sampled once per chunk.
     outstanding_hist: Vec<BinHistogram>,
     /// Aggregate IPC per FC-interval epoch (instruction delta / interval).
@@ -194,6 +199,7 @@ impl SystemSim {
                 footprint.extend((lo.index()..hi.index()).map(PageId));
             }
         }
+        footprint.sort_unstable();
         let cores: Vec<CoreState> = built
             .into_iter()
             .map(|gen| CoreState {
@@ -246,6 +252,7 @@ impl SystemSim {
             demand_hbm: 0,
             demand_ddr: 0,
             footprint,
+            ckpt_capacity: std::cell::Cell::new(0),
             workload_name: workload.name().to_string(),
             policy_name: policy_name.into(),
             cores,
@@ -418,7 +425,11 @@ impl SystemSim {
     /// identical arguments (via [`SystemSim::restore_state`]) and running
     /// on yields results byte-identical to the uninterrupted run.
     pub fn save_state(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::framed(
+            CHECKPOINT_KIND,
+            CHECKPOINT_VERSION,
+            self.ckpt_capacity.get(),
+        );
         w.u64(self.identity_hash());
         w.u64(self.now);
         w.u64(self.next_id);
@@ -475,7 +486,14 @@ impl SystemSim {
             h.save_state(&mut w);
         }
         self.epoch_ipc.save_state(&mut w);
-        codec::encode_framed(CHECKPOINT_KIND, CHECKPOINT_VERSION, w.bytes())
+        self.note_checkpoint_len(w.bytes().len());
+        w.finish_frame()
+    }
+
+    /// Sizes the next checkpoint's buffer from a payload of `len` bytes:
+    /// state only grows by the pages a run touches between checkpoints.
+    fn note_checkpoint_len(&self, len: usize) {
+        self.ckpt_capacity.set(len + len / 8);
     }
 
     /// Restores a checkpoint written by [`SystemSim::save_state`] into a
@@ -485,10 +503,13 @@ impl SystemSim {
     ///
     /// Any corruption — bad framing, wrong kind/version, checksum failure,
     /// truncation, or a checkpoint from a different run — returns a
-    /// [`CodecError`] and never panics. The simulator may be partially
-    /// mutated on failure; callers must discard it and rebuild.
+    /// [`CodecError`] and never panics. Page ids must lie in the run's
+    /// footprint, so no count or id in the blob sizes the page map or the
+    /// AVF tracker past what the footprint bounds. The simulator may be
+    /// partially mutated on failure; callers must discard it and rebuild.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
         let payload = codec::decode_framed(bytes, CHECKPOINT_KIND, CHECKPOINT_VERSION)?;
+        self.note_checkpoint_len(payload.len());
         let mut r = ByteReader::new(payload);
         if r.u64()? != self.identity_hash() {
             return Err(CodecError::Malformed("checkpoint is for a different run"));
@@ -532,8 +553,8 @@ impl SystemSim {
         self.hierarchy.restore_state(&mut r)?;
         self.hbm.restore_state(&mut r)?;
         self.ddr.restore_state(&mut r)?;
-        self.pagemap.restore_state(&mut r)?;
-        self.avf.restore_state(&mut r)?;
+        self.pagemap.restore_state(&mut r, &self.footprint)?;
+        self.avf.restore_state(&mut r, &self.footprint)?;
         match (r.u8()?, &mut self.engine) {
             (0, None) => {}
             (1, Some(e)) => e.restore_state(&mut r)?,

@@ -236,16 +236,6 @@ impl ChannelController {
         }
     }
 
-    /// Current read-queue depth.
-    pub fn read_queue_len(&self) -> usize {
-        self.read_q.len()
-    }
-
-    /// Current write-queue depth.
-    pub fn write_queue_len(&self) -> usize {
-        self.write_q.len()
-    }
-
     /// `true` when no requests are pending or in flight.
     pub fn is_idle(&self) -> bool {
         self.read_q.is_empty() && self.write_q.is_empty() && self.in_flight.is_empty()

@@ -98,11 +98,6 @@ impl MemorySystem {
         self.kind
     }
 
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Whether the target channel for `req` can accept it.
     pub fn can_accept(&self, req: &MemRequest) -> bool {
         let coord = self.mapping.decode(req.line);

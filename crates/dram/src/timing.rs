@@ -96,59 +96,6 @@ impl TimingParams {
         }
     }
 
-    /// LPDDR4-3200 (1600 MHz bus, tCK = 0.625 ns = 2 CPU cycles at
-    /// 3.2 GHz). Not used by the paper's Table 1 system, but provided for
-    /// completeness with Ramulator's supported standards (Section 3.1) and
-    /// for mobile-HMA what-if studies.
-    pub fn lpddr4_3200() -> Self {
-        let tck = 2;
-        TimingParams {
-            t_rcd: 29 * tck,
-            t_rp: 34 * tck,
-            t_cl: 28 * tck,
-            t_cwl: 14 * tck,
-            t_ras: 68 * tck,
-            t_rc: 102 * tck,
-            t_bl: 8 * tck, // BL16 on a 16-bit channel pair = 8 bus cycles per 64 B
-            t_ccd: 8 * tck,
-            t_rrd: 16 * tck,
-            t_faw: 64 * tck,
-            t_wr: 29 * tck,
-            t_wtr: 16 * tck,
-            t_rtp: 12 * tck,
-            t_rfc: 448 * tck,
-            t_refi: 12480 * tck,
-        }
-    }
-
-    /// GDDR5-6000 (1.5 GHz command clock, tCK ≈ 0.667 ns ≈ 2 CPU cycles).
-    /// Provided for completeness with Ramulator's supported standards.
-    pub fn gddr5_6000() -> Self {
-        let tck = 2;
-        TimingParams {
-            t_rcd: 18 * tck,
-            t_rp: 18 * tck,
-            t_cl: 18 * tck,
-            t_cwl: 6 * tck,
-            t_ras: 42 * tck,
-            t_rc: 60 * tck,
-            t_bl: 2 * tck, // BL8 on a 32-bit device group = 2 bus cycles per 64 B
-            t_ccd: 3 * tck,
-            t_rrd: 8 * tck,
-            t_faw: 32 * tck,
-            t_wr: 18 * tck,
-            t_wtr: 8 * tck,
-            t_rtp: 3 * tck,
-            t_rfc: 160 * tck,
-            t_refi: 5700 * tck,
-        }
-    }
-
-    /// Idle row-hit read latency (issue to last data beat).
-    pub fn row_hit_read_latency(&self) -> u64 {
-        self.t_cl + self.t_bl
-    }
-
     /// Idle row-miss read latency (PRE + ACT + RD + data).
     pub fn row_miss_read_latency(&self) -> u64 {
         self.t_rp + self.t_rcd + self.t_cl + self.t_bl
@@ -222,17 +169,6 @@ mod tests {
     fn standards_validate() {
         TimingParams::ddr3_1600().validate();
         TimingParams::hbm_1000().validate();
-        TimingParams::lpddr4_3200().validate();
-        TimingParams::gddr5_6000().validate();
-    }
-
-    #[test]
-    fn gddr5_is_the_bandwidth_leader_per_channel() {
-        // Sanity: per-channel bytes/cycle ordering GDDR5 > HBM-chan > DDR3 > LPDDR4.
-        let bpc = |t: TimingParams| 64.0 / t.t_bl as f64;
-        assert!(bpc(TimingParams::gddr5_6000()) >= bpc(TimingParams::hbm_1000()));
-        assert!(bpc(TimingParams::hbm_1000()) > bpc(TimingParams::lpddr4_3200()));
-        assert!(bpc(TimingParams::ddr3_1600()) >= bpc(TimingParams::lpddr4_3200()));
     }
 
     #[test]

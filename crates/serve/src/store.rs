@@ -45,7 +45,7 @@
 //! written with full tables by earlier builds still decode as hits.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -291,13 +291,10 @@ impl RunStore {
         }
         // Read-back verify: the entry only counts once the bytes on disk
         // are the bytes we meant to write.
-        match fs::read(path) {
-            Ok(back) if back == bytes => {}
-            _ => {
-                let _ = fs::remove_file(path);
-                self.metrics.verify_failures.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
+        if !file_equals(path, bytes) {
+            let _ = fs::remove_file(path);
+            self.metrics.verify_failures.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
         self.metrics.writes.fetch_add(1, Ordering::Relaxed);
         if self.chaos_roll("store.corrupt") {
@@ -675,6 +672,34 @@ impl RunStore {
     }
 }
 
+/// Bytes [`file_equals`] reads per step.
+const VERIFY_CHUNK: usize = 64 * 1024;
+
+/// Whether the file at `path` holds exactly `bytes`: read and compared
+/// in [`VERIFY_CHUNK`]-byte steps, so a write's read-back never holds a
+/// second copy of a large entry. A short, long or differing file, or a
+/// read error, is `false`.
+fn file_equals(path: &Path, bytes: &[u8]) -> bool {
+    let Ok(mut file) = fs::File::open(path) else {
+        return false;
+    };
+    let mut buf = vec![0u8; VERIFY_CHUNK.min(bytes.len() + 1)];
+    let mut at = 0;
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return at == bytes.len(),
+            Ok(n) => {
+                if bytes.len() - at < n || buf[..n] != bytes[at..at + n] {
+                    return false;
+                }
+                at += n;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
+
 /// Parses a `<key>-e<epoch>.ckpt` checkpoint file name.
 fn parse_checkpoint_name(name: &str) -> Option<(&str, u64)> {
     let stem = name.strip_suffix(".ckpt")?;
@@ -829,6 +854,30 @@ mod tests {
             table: ramp_avf::StatsTable::from_stats(Vec::new(), run.table.total_cycles()),
             ..run.clone()
         }
+    }
+
+    #[test]
+    fn read_back_compare_rejects_short_long_and_differing_files() {
+        let store = test_store();
+        let dir = store.dir().to_path_buf();
+        let path = dir.join("probe");
+        // Spans several read steps and ends mid-step.
+        let bytes: Vec<u8> = (0..VERIFY_CHUNK * 2 + 77).map(|i| (i * 31) as u8).collect();
+        for want in [&bytes[..], &bytes[..1], &[][..]] {
+            fs::write(&path, want).unwrap();
+            assert!(file_equals(&path, want));
+            let mut long = want.to_vec();
+            long.push(0);
+            assert!(!file_equals(&path, &long), "file shorter than bytes");
+            fs::write(&path, &long).unwrap();
+            assert!(!file_equals(&path, want), "file longer than bytes");
+        }
+        let mut flipped = bytes.clone();
+        flipped[VERIFY_CHUNK + 5] ^= 1;
+        fs::write(&path, &flipped).unwrap();
+        assert!(!file_equals(&path, &bytes));
+        assert!(!file_equals(&dir.join("missing"), &bytes));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

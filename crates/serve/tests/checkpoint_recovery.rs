@@ -270,3 +270,53 @@ fn torn_real_checkpoint_resumes_byte_identical() {
     assert_eq!(resumed.telemetry.to_json(), reference.telemetry.to_json());
     assert!(store.list_checkpoints(key).is_empty());
 }
+
+/// A trail left by a build whose checkpoints carry layout version 1
+/// (the header rewritten, the checksum valid) fails `decode_framed`
+/// with `WrongVersion`: every segment is quarantined with that reason,
+/// the run starts cold, and its result is byte-identical to an
+/// uninterrupted run.
+#[test]
+fn version_1_trail_is_quarantined_and_run_starts_cold() {
+    use ramp_sim::codec::{decode_framed, CodecError};
+
+    let store = scratch_store("v1-trail");
+    let cfg = SystemConfig::smoke_test();
+    let workload = Workload::Homogeneous(Benchmark::Mcf);
+    let profile = profile_workload(&cfg, &workload);
+    let build = || build_migration_sim(&cfg, &workload, MigrationScheme::PerfFc, &profile.table);
+    let (reference, total_epochs) = reference_run(&build);
+    let key = "v1-trail";
+    kill_at_epoch(&build, &store, key, total_epochs);
+    let segments = store.list_checkpoints(key);
+    assert!(segments.len() >= 2, "need a trail of several segments");
+    for (_, path) in &segments {
+        let blob = std::fs::read(path).unwrap();
+        let payload = decode_framed(&blob, CHECKPOINT_KIND, CHECKPOINT_VERSION).unwrap();
+        let old = encode_framed(CHECKPOINT_KIND, 1, payload);
+        assert_eq!(
+            decode_framed(&old, CHECKPOINT_KIND, CHECKPOINT_VERSION),
+            Err(CodecError::WrongVersion {
+                found: 1,
+                expected: CHECKPOINT_VERSION
+            })
+        );
+        std::fs::write(path, &old).unwrap();
+    }
+
+    let progress = RunProgress::default();
+    let (run, was_resumed) =
+        run_with_recovery_every(build, key, "v1-trail", Some(&store), Some(&progress), 1);
+    assert!(!was_resumed, "a version-1 segment was restored");
+    assert!(!progress.resumed.load(Ordering::Relaxed));
+    assert_eq!(wire::encode_run(&run), wire::encode_run(&reference));
+    assert_eq!(run.telemetry.to_json(), reference.telemetry.to_json());
+    assert!(store.list_checkpoints(key).is_empty());
+    for (_, path) in &segments {
+        let name = path.file_name().unwrap().to_string_lossy();
+        assert!(path.with_file_name(format!("{name}.quarantine")).is_file());
+        let reason =
+            std::fs::read_to_string(path.with_file_name(format!("{name}.reason"))).unwrap();
+        assert!(reason.contains("WrongVersion"), "{reason}");
+    }
+}

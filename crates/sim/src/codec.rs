@@ -13,7 +13,9 @@
 //! * [`encode_framed`] / [`decode_framed`] — a versioned container
 //!   format. Any mismatch (wrong magic, wrong version, wrong kind, bad
 //!   checksum, truncation) decodes to a clean error so callers can treat
-//!   damaged cache entries as misses.
+//!   damaged cache entries as misses. [`ByteWriter::framed`] writes a
+//!   payload straight into its frame, so a large blob (a simulator
+//!   checkpoint) is framed without a second copy.
 //!
 //! # Frame layout
 //!
@@ -190,10 +192,16 @@ pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
+/// Frame header bytes ahead of the payload: magic, version, kind and
+/// payload length.
+const HEADER_LEN: usize = MAGIC.len() + 4 + 1 + 8;
+
 /// An append-only little-endian byte buffer.
 #[derive(Clone, Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
+    /// Whether `buf` opens with a frame header ([`ByteWriter::framed`]).
+    framed: bool,
 }
 
 impl ByteWriter {
@@ -202,13 +210,49 @@ impl ByteWriter {
         Self::default()
     }
 
-    /// The bytes written so far.
+    /// A writer whose buffer opens with the header of a `kind`/`version`
+    /// frame and has room for `capacity` payload bytes. Everything
+    /// written next is the payload, in place;
+    /// [`ByteWriter::finish_frame`] closes the frame. The result equals
+    /// [`encode_framed`] of the same payload.
+    pub fn framed(kind: u8, version: u32, capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + capacity + 8);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.push(kind);
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        ByteWriter { buf, framed: true }
+    }
+
+    /// Closes a frame opened by [`ByteWriter::framed`]: writes the
+    /// payload length into the header and appends the checksum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the writer was not opened by [`ByteWriter::framed`].
+    pub fn finish_frame(mut self) -> Vec<u8> {
+        assert!(self.framed, "finish_frame on an unframed writer");
+        let payload_len = (self.buf.len() - HEADER_LEN) as u64;
+        self.buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = xxh64(&self.buf[HEADER_LEN..]);
+        self.buf.extend_from_slice(&checksum.to_le_bytes());
+        self.buf
+    }
+
+    /// The bytes written so far (after the frame header, for a
+    /// [`ByteWriter::framed`] writer).
     pub fn bytes(&self) -> &[u8] {
-        &self.buf
+        &self.buf[if self.framed { HEADER_LEN } else { 0 }..]
     }
 
     /// Consumes the writer and returns its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a writer opened by [`ByteWriter::framed`], whose frame
+    /// only [`ByteWriter::finish_frame`] can close.
     pub fn into_bytes(self) -> Vec<u8> {
+        assert!(!self.framed, "into_bytes on a framed writer");
         self.buf
     }
 
@@ -225,6 +269,21 @@ impl ByteWriter {
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends `v` as an unsigned LEB128 varint: 7 bits a byte, low
+    /// bits first, 1 to 10 bytes.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Appends `bytes` verbatim.
+    pub fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (exact round trip,
@@ -290,6 +349,28 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
+    /// Reads a varint written by [`ByteWriter::varint`]. Only the
+    /// shortest encoding of a value is accepted, so every value has one
+    /// byte form; a longer one, or one past 64 bits, is `Malformed`.
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for (i, &b) in self.buf[self.pos..].iter().take(10).enumerate() {
+            if i == 9 && b > 1 {
+                return Err(CodecError::Malformed("varint overflows 64 bits"));
+            }
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if b == 0 && i > 0 {
+                    return Err(CodecError::Malformed("non-minimal varint"));
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        // Ten bytes end or reject a varint, so the buffer ran out.
+        Err(CodecError::Truncated)
+    }
+
     /// Reads an `f64` bit pattern.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
@@ -322,14 +403,9 @@ impl<'a> ByteReader<'a> {
 /// length-prefixed payload, trailing XXH64 checksum (see the module docs
 /// for the layout).
 pub fn encode_framed(kind: u8, version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 21 + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&xxh64(payload).to_le_bytes());
-    out
+    let mut w = ByteWriter::framed(kind, version, payload.len());
+    w.raw(payload);
+    w.finish_frame()
 }
 
 /// Validates a framed container and returns its payload slice.
@@ -437,6 +513,70 @@ mod tests {
     fn framed_round_trip() {
         let framed = encode_framed(3, 9, b"payload");
         assert_eq!(decode_framed(&framed, 3, 9).unwrap(), b"payload");
+    }
+
+    #[test]
+    fn in_place_frame_equals_encode_framed() {
+        for cap in [0, 3, 64] {
+            let mut w = ByteWriter::framed(3, 9, cap);
+            w.str("lbm");
+            w.u64(7);
+            w.varint(300);
+            let mut plain = ByteWriter::new();
+            plain.str("lbm");
+            plain.u64(7);
+            plain.varint(300);
+            assert_eq!(w.bytes(), plain.bytes());
+            assert_eq!(w.finish_frame(), encode_framed(3, 9, plain.bytes()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "into_bytes on a framed writer")]
+    fn unclosed_frame_cannot_be_taken() {
+        ByteWriter::framed(3, 9, 0).into_bytes();
+    }
+
+    #[test]
+    fn varints_round_trip_and_reject_noncanonical_forms() {
+        let mut values = vec![0, 1, 127, 128, 300, 1 << 35, u64::MAX - 1, u64::MAX];
+        // Both sides of every length boundary.
+        for bits in (7..64).step_by(7) {
+            values.extend([(1u64 << bits) - 1, 1 << bits]);
+        }
+        let mut w = ByteWriter::new();
+        for &v in &values {
+            w.varint(v);
+        }
+        let buf = w.into_bytes();
+        let mut r = ByteReader::new(&buf);
+        for &v in &values {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        assert!(r.is_empty());
+        // u64::MAX is ten bytes; every cut of it is truncated.
+        let mut w = ByteWriter::new();
+        w.varint(u64::MAX);
+        let max = w.into_bytes();
+        assert_eq!(max.len(), 10);
+        for cut in 0..max.len() {
+            assert_eq!(
+                ByteReader::new(&max[..cut]).varint(),
+                Err(CodecError::Truncated)
+            );
+        }
+        let malformed: [&[u8]; 4] = [
+            &[0x80, 0x00],
+            &[0x80, 0x80, 0x00, 0, 0, 0, 0, 0, 0],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81],
+        ];
+        for bytes in malformed {
+            assert!(matches!(
+                ByteReader::new(bytes).varint(),
+                Err(CodecError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //!   histograms, ratios) with deterministic JSON/table serialization,
 //!   shared by every simulator component for observability and
 //!   golden-snapshot regression testing.
+//! * [`pageindex`] — a dense two-level table keyed by page id, behind
+//!   the page map and the AVF tracker.
 //! * [`chaos`] — a seeded software fault-injection registry
 //!   (`RAMP_CHAOS=<seed>:<spec>`) threaded through the executor, run
 //!   store, server and client for deterministic resilience testing.
@@ -50,6 +52,7 @@ pub mod check;
 pub mod codec;
 pub mod event;
 pub mod exec;
+pub mod pageindex;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;

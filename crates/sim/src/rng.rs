@@ -117,11 +117,6 @@ impl SimRng {
         self.inner.next_u64()
     }
 
-    /// A uniformly random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.inner.next_u64() >> 32) as u32
-    }
-
     /// A uniformly random value in `[0, bound)` (Lemire's unbiased
     /// multiply-and-reject method).
     ///

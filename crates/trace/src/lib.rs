@@ -23,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod gen;
-pub mod io;
 pub mod mix;
 pub mod profile;
 pub mod record;

@@ -328,27 +328,43 @@ cmp "$STORE_DIR/fig05_perf_static-cold.out" "$STORE_DIR/chaos2.out" \
 # clean up its trail, and produce stdout byte-identical to an
 # uninterrupted run of the same config. Needs more instructions than
 # WARM_ENV so the paper config's 400k-cycle epoch actually fires.
-echo "==> checkpoint-smoke: kill at first checkpoint (seed 303), resume byte-identical"
-CKPT_DIR="$STORE_DIR/ckpt-store"
 CKPT_ENV=(RAMP_WORKLOADS=lbm,mcf RAMP_INSTS=400000 RAMP_STATS=json RAMP_CKPT_EPOCHS=1)
-env "${CKPT_ENV[@]}" RAMP_STORE_DIR="$CKPT_DIR" RAMP_CHAOS="303:panic=1.0" \
-    target/release/fig05_perf_static \
-    > "$STORE_DIR/ckpt-kill.out" 2> "$STORE_DIR/ckpt-kill.err" || true
-target/release/ramp-store ckpt --dir "$CKPT_DIR" > "$STORE_DIR/ckpt-list.out"
-cat "$STORE_DIR/ckpt-list.out"
-grep -qE 'segments=[1-9]' "$STORE_DIR/ckpt-list.out" \
-    || { echo "FAIL: killed run left no checkpoint segments"; exit 1; }
-env "${CKPT_ENV[@]}" RAMP_STORE_DIR="$CKPT_DIR" target/release/fig05_perf_static \
-    > "$STORE_DIR/ckpt-resume.out" 2> "$STORE_DIR/ckpt-resume.err"
-grep -q '^\[ckpt\] resumed ' "$STORE_DIR/ckpt-resume.err" \
-    || { echo "FAIL: resume run did not report recovering from a checkpoint"; exit 1; }
-env "${CKPT_ENV[@]}" RAMP_STORE_DIR="$STORE_DIR/ckpt-baseline" \
-    target/release/fig05_perf_static > "$STORE_DIR/ckpt-base.out" 2>/dev/null
-cmp "$STORE_DIR/ckpt-base.out" "$STORE_DIR/ckpt-resume.out" \
-    || { echo "FAIL: resumed stdout differs from uninterrupted stdout"; exit 1; }
-target/release/ramp-store ckpt --dir "$CKPT_DIR" > "$STORE_DIR/ckpt-after.out"
-grep -q 'segments=0' "$STORE_DIR/ckpt-after.out" \
-    || { echo "FAIL: completed resume left checkpoint segments behind"; exit 1; }
+
+# ckpt_kill_resume BIN RESUMED [SEEDER]: the sequence above for
+# target/release/BIN. RESUMED is a regex the `[ckpt] resumed` line must
+# match after the prefix; SEEDER, when given, first fills the store
+# without faults, so the kill lands in BIN's own runs.
+ckpt_kill_resume() {
+    local bin=$1 resumed=$2 seeder=${3:-}
+    local dir="$STORE_DIR/ckpt-$bin"
+    echo "==> checkpoint-smoke: kill $bin at first checkpoint (seed 303), resume byte-identical"
+    if [ -n "$seeder" ]; then
+        env "${CKPT_ENV[@]}" RAMP_STORE_DIR="$dir" "target/release/$seeder" \
+            > /dev/null 2> "$dir-seed.err"
+    fi
+    env "${CKPT_ENV[@]}" RAMP_STORE_DIR="$dir" RAMP_CHAOS="303:panic=1.0" \
+        "target/release/$bin" > "$dir-kill.out" 2> "$dir-kill.err" || true
+    target/release/ramp-store ckpt --dir "$dir" > "$dir-list.out"
+    cat "$dir-list.out"
+    grep -qE 'segments=[1-9]' "$dir-list.out" \
+        || { echo "FAIL: killed $bin left no checkpoint segments"; exit 1; }
+    env "${CKPT_ENV[@]}" RAMP_STORE_DIR="$dir" "target/release/$bin" \
+        > "$dir-resume.out" 2> "$dir-resume.err"
+    grep -qE "^\[ckpt\] resumed $resumed" "$dir-resume.err" \
+        || { echo "FAIL: $bin resume did not report recovering from a checkpoint"; exit 1; }
+    env "${CKPT_ENV[@]}" RAMP_STORE_DIR="$dir-baseline" "target/release/$bin" \
+        > "$dir-base.out" 2>/dev/null
+    cmp "$dir-base.out" "$dir-resume.out" \
+        || { echo "FAIL: $bin resumed stdout differs from uninterrupted stdout"; exit 1; }
+    target/release/ramp-store ckpt --dir "$dir" > "$dir-after.out"
+    grep -q 'segments=0' "$dir-after.out" \
+        || { echo "FAIL: $bin completed resume left checkpoint segments behind"; exit 1; }
+}
+ckpt_kill_resume fig05_perf_static ''
+# Profiles come from fig02_avf first, so the kill and the resume hit
+# migration runs: the engine, the copy backlog and the AVF tracker
+# meet a real kill.
+ckpt_kill_resume fig12_perf_mig '[a-z0-9]+/perf-fc ' fig02_avf
 
 echo "==> chaos-smoke: server choreography under injected resets (seed 7)"
 PORT_FILE2="$STORE_DIR/chaos-port"

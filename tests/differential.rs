@@ -8,6 +8,10 @@
 //!    plain `HashMap` page map with identical LIFO frame recycling —
 //!    seeded property streams of grow (first touch), evict (migrate to
 //!    DDR), and migrate ops, including remap-during-migration edge cases.
+//!    The dense AVF page arena (`ramp::avf::AvfTracker`) against the
+//!    `HashMap` tracker it replaced: identical `finish` tables, resumes
+//!    from a checkpoint that continue like the reference, and
+//!    save → restore → save byte round trips.
 //! 2. Batched DRAM event advancement (`MemorySystem::advance` over whole
 //!    chunks, with the controller's idle/wake fast paths) against a naive
 //!    walker that advances one cycle at a time — identical completions,
@@ -21,6 +25,7 @@
 
 use std::collections::HashMap;
 
+use ramp::avf::{AvfTracker, PageStats};
 use ramp::core::config::SystemConfig;
 use ramp::core::migration::MigrationScheme;
 use ramp::core::placement::PlacementPolicy;
@@ -30,7 +35,7 @@ use ramp::dram::request::MemRequest;
 use ramp::dram::{MemoryKind, MemorySystem};
 use ramp::serve::wire::encode_run;
 use ramp::sim::check::{check, check_n};
-use ramp::sim::codec::ByteWriter;
+use ramp::sim::codec::{ByteReader, ByteWriter};
 use ramp::sim::telemetry::{render_runs_json, StatRegistry};
 use ramp::sim::units::{AccessKind, Cycle, LineAddr, PageId, LINES_PER_PAGE};
 use ramp::trace::{Benchmark, Workload};
@@ -269,6 +274,193 @@ fn pagemap_remap_during_migration_parity() {
             assert_eq!(pm.hbm_used(), capacity);
         }
         assert_eq!(pm.hbm_pages(), rf.hbm_pages());
+    });
+}
+
+// ---------------------------------------------------------------------
+// 1b. Reference AVF tracker: the pre-arena HashMap implementation.
+// ---------------------------------------------------------------------
+
+/// The `HashMap` tracker the dense arena replaced: one boxed stamp array
+/// per touched page, sorted by page id only when finished.
+struct RefAvfTracker {
+    pages: HashMap<PageId, RefPageTrack>,
+    start: Cycle,
+}
+
+struct RefPageTrack {
+    last_access: Box<[u64; LINES_PER_PAGE]>,
+    ace: [u64; 2],
+    reads: u64,
+    writes: u64,
+}
+
+impl RefAvfTracker {
+    fn new(start: Cycle) -> Self {
+        RefAvfTracker {
+            pages: HashMap::new(),
+            start,
+        }
+    }
+
+    fn on_access(
+        &mut self,
+        page: PageId,
+        line_in_page: usize,
+        kind: AccessKind,
+        now: Cycle,
+        resident_in: MemoryKind,
+    ) {
+        assert!(line_in_page < LINES_PER_PAGE, "line index out of page");
+        assert!(now >= self.start, "access before tracker start");
+        let start = self.start.0;
+        let track = self.pages.entry(page).or_insert_with(|| RefPageTrack {
+            last_access: Box::new([start; LINES_PER_PAGE]),
+            ace: [0, 0],
+            reads: 0,
+            writes: 0,
+        });
+        let last = &mut track.last_access[line_in_page];
+        match kind {
+            AccessKind::Read => {
+                let mem = match resident_in {
+                    MemoryKind::Hbm => 0,
+                    MemoryKind::Ddr => 1,
+                };
+                track.ace[mem] += now.0.saturating_sub(*last);
+                track.reads += 1;
+            }
+            AccessKind::Write => track.writes += 1,
+        }
+        *last = now.0;
+    }
+
+    fn finish(self, end: Cycle) -> Vec<PageStats> {
+        assert!(end >= self.start, "end before start");
+        let total = (end - self.start).0;
+        let mut stats: Vec<PageStats> = self
+            .pages
+            .into_iter()
+            .map(|(page, t)| PageStats {
+                page,
+                reads: t.reads,
+                writes: t.writes,
+                ace_hbm: t.ace[0],
+                ace_ddr: t.ace[1],
+                avf: if total == 0 {
+                    0.0
+                } else {
+                    (t.ace[0] + t.ace[1]) as f64 / (LINES_PER_PAGE as f64 * total as f64)
+                },
+            })
+            .collect();
+        stats.sort_by_key(|s| s.page);
+        stats
+    }
+}
+
+/// One tracker access: page, line, kind, cycle, memory.
+type AvfOp = (PageId, usize, AccessKind, Cycle, MemoryKind);
+
+/// A seeded access stream from `start` over `pages`. Lines repeat (a
+/// few hot lines per page), and time advances by 0 to 300 cycles per
+/// access, so reads and writes land at `start` and at the same cycle as
+/// the line's previous access. One access in eight is at `start`
+/// whatever the time: cores' clocks differ, so a line's stamp can move
+/// back.
+fn avf_ops(g: &mut ramp::sim::check::Gen, start: u64, pages: &[PageId]) -> Vec<AvfOp> {
+    let mut now = start;
+    g.vec(1, 400, |g| {
+        if g.u64_below(4) != 0 {
+            now += g.u64_below(300);
+        }
+        let at = if g.u64_below(8) == 0 { start } else { now };
+        let line = if g.bool() {
+            g.usize_in(0, 3)
+        } else {
+            g.usize_in(0, LINES_PER_PAGE)
+        };
+        let kind = if g.bool() {
+            AccessKind::Read
+        } else {
+            AccessKind::Write
+        };
+        let mem = if g.bool() {
+            MemoryKind::Hbm
+        } else {
+            MemoryKind::Ddr
+        };
+        (*g.pick(pages), line, kind, Cycle(at), mem)
+    })
+}
+
+fn avf_saved(t: &AvfTracker) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    t.save_state(&mut w);
+    w.into_bytes()
+}
+
+/// Drives arena and reference through `ops`, saving the arena after
+/// `cut` of them and restoring it (over `footprint`) into a fresh arena
+/// that runs the rest. The restored arena must save the bytes it was
+/// restored from, and both arenas must finish with the reference's
+/// table.
+fn avf_parity(ops: &[AvfOp], cut: usize, start: u64, end: Cycle, footprint: &[PageId]) {
+    let mut arena = AvfTracker::new(Cycle(start));
+    let mut reference = RefAvfTracker::new(Cycle(start));
+    for &(page, line, kind, now, mem) in &ops[..cut] {
+        arena.on_access(page, line, kind, now, mem);
+        reference.on_access(page, line, kind, now, mem);
+    }
+    let blob = avf_saved(&arena);
+    let mut resumed = AvfTracker::new(Cycle(7));
+    resumed
+        .restore_state(&mut ByteReader::new(&blob), footprint)
+        .expect("a saved arena restores");
+    assert_eq!(avf_saved(&resumed), blob, "save -> restore -> save");
+    for &(page, line, kind, now, mem) in &ops[cut..] {
+        arena.on_access(page, line, kind, now, mem);
+        resumed.on_access(page, line, kind, now, mem);
+        reference.on_access(page, line, kind, now, mem);
+    }
+    let want = reference.finish(end);
+    assert_eq!(arena.finish(end).pages(), &want[..], "finish tables");
+    assert_eq!(resumed.finish(end).pages(), &want[..], "resumed tables");
+}
+
+/// Arena vs reference over seeded access streams on dense page ranges
+/// of three index chunks (the first pages of chunk 1 sit just past the
+/// 22-bit boundary), cut and resumed at a random point.
+#[test]
+fn avf_arena_matches_reference_hashmap() {
+    let footprint: Vec<PageId> = [0u64, 1 << 22, 3 << 22]
+        .iter()
+        .flat_map(|&base| (base..base + 40).map(PageId))
+        .collect();
+    check("avf_arena_matches_reference_hashmap", |g| {
+        let start = *g.pick(&[0, 1, 1 << 40]);
+        let ops = avf_ops(g, start, &footprint);
+        let cut = g.usize_in(0, ops.len() + 1);
+        let end = Cycle(ops.last().map_or(start, |op| op.3 .0) + g.u64_below(100));
+        avf_parity(&ops, cut, start, end, &footprint);
+    });
+}
+
+/// Pages at the top of chunk 0, the bottom of chunk 1 and the top of the
+/// last index chunk grow the index to its full extent (a single seeded
+/// case: each such chunk memsets 16 MiB, so the stream above sticks to
+/// dense offsets).
+#[test]
+fn avf_arena_chunk_boundary_parity() {
+    let mut footprint: Vec<PageId> = ((1 << 22) - 8..(1 << 22) + 8)
+        .chain((1 << 34) - 2..1 << 34)
+        .map(PageId)
+        .collect();
+    footprint.sort();
+    check_n("avf_arena_chunk_boundary_parity", 1, |g| {
+        let ops = avf_ops(g, 5, &footprint);
+        let end = Cycle(ops.last().map_or(5, |op| op.3 .0));
+        avf_parity(&ops, ops.len() / 2, 5, end, &footprint);
     });
 }
 

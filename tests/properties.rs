@@ -3,8 +3,9 @@
 //! page-map consistency, MEA's frequent-element guarantee,
 //! trace-generator containment, telemetry invariants (histogram
 //! conservation, epoch monotonicity, merge/sequential equivalence),
-//! store-entry round trips, and the store's frame and wire decoders and
-//! the HTTP request and response parsers under hostile bytes.
+//! store-entry round trips, and the store's frame and wire decoders,
+//! simulator checkpoint restores and the HTTP request and response
+//! parsers under hostile bytes.
 //!
 //! Each property runs 256 deterministic cases; on failure the harness
 //! prints the case's seed so `RAMP_PROP_SEED=<seed>` replays it alone.
@@ -519,6 +520,132 @@ fn hostile_frames_decode_cleanly_within_input_sized_allocations() {
             let mut hostile = payload.to_vec();
             hostile[at..at + 4].copy_from_slice(&claim.to_le_bytes());
             assert_decodes_cleanly(&encode_framed(kind, WIRE_VERSION, &hostile));
+        }
+    });
+}
+
+/// The simulator checkpoints are taken from: perf-FC migration of
+/// libquantum at smoke config, so every section (page map, AVF tracker,
+/// migration engine, copy backlog) carries state.
+fn checkpoint_sim() -> ramp::core::system::SystemSim {
+    use ramp::core::config::SystemConfig;
+    use ramp::core::migration::{MigrationEngine, MigrationScheme};
+    use std::collections::HashSet;
+
+    ramp::core::system::SystemSim::new(
+        SystemConfig::smoke_test(),
+        &ramp::trace::Workload::Homogeneous(Benchmark::Libquantum),
+        "perf-fc",
+        &HashSet::new(),
+        HashSet::new(),
+        Some(MigrationEngine::new(MigrationScheme::PerfFc)),
+    )
+}
+
+/// Pages the smoke run's regions span, ascending: the footprint a
+/// restore accepts.
+fn checkpoint_footprint() -> Vec<PageId> {
+    let cfg = ramp::core::config::SystemConfig::smoke_test();
+    let mut pages: Vec<PageId> = ramp::trace::Workload::Homogeneous(Benchmark::Libquantum)
+        .build_cores(cfg.seed, cfg.insts_per_core)
+        .iter()
+        .flat_map(|gen| {
+            (0..gen.profile().regions.len()).flat_map(|ri| {
+                let (lo, hi) = gen.region_page_range(ri);
+                (lo.0..hi.0).map(PageId)
+            })
+        })
+        .collect();
+    pages.sort_unstable();
+    pages
+}
+
+/// Restores `bytes` into a freshly built simulator: the restore must
+/// return `Ok` or a typed `CodecError` (a panic fails the case with its
+/// replay seed), and no single allocation may exceed `limit`.
+fn assert_restores_cleanly(bytes: &[u8], limit: usize) {
+    let mut sim = checkpoint_sim();
+    assert_allocs_within(limit, "SystemSim::restore_state", || {
+        let _ = sim.restore_state(bytes);
+    });
+}
+
+/// Smoke-config checkpoints under hostile bytes. Each case takes one of
+/// a real run's checkpoints and restores, each into a freshly built
+/// simulator, (1) the blob with overwritten bytes, a cut or an
+/// extension, re-framed half the time so the mutated payload passes
+/// the checksum, and (2) four re-framed copies with one hostile field
+/// each: a `u32` count no larger than the payload, a page id (just past
+/// the footprint, at the top of index chunk 0 or 4095, or `u64::MAX`), or a
+/// run of `0xff` varint bytes, at a random offset (half of them in the
+/// payload's second half, where the page map, the AVF tracker and the
+/// migration engine sit).
+///
+/// Allocation bound: the larger of the decoders' 4× input + 4 KiB and
+/// the footprint-sized arena — one AVF record (64 line stamps and four
+/// counters, 8 bytes each) per footprint page. A restore rebuilds the
+/// page map and the tracker only for pages inside the run's footprint,
+/// so no count or id in the blob sizes an allocation past that.
+#[test]
+fn hostile_checkpoints_restore_cleanly_within_footprint_sized_allocations() {
+    use ramp::core::system::{RunHooks, CHECKPOINT_KIND, CHECKPOINT_VERSION};
+    use ramp::sim::codec::{decode_framed, encode_framed};
+
+    let mut blobs: Vec<Vec<u8>> = Vec::new();
+    let mut keep = |_epoch: u64, blob: Vec<u8>| blobs.push(blob);
+    checkpoint_sim().run_with_hooks(RunHooks {
+        checkpoint_every: 2,
+        on_checkpoint: Some(&mut keep),
+        ..RunHooks::default()
+    });
+    let blobs = [blobs[0].clone(), blobs[blobs.len() - 1].clone()];
+    let footprint = checkpoint_footprint();
+    let arena = footprint.len() * (LINES_PER_PAGE + 4) * 8;
+    let limit = |len: usize| (4 * len + 4096).max(arena);
+    for blob in &blobs {
+        let mut sim = checkpoint_sim();
+        assert_eq!(sim.restore_state(blob), Ok(()), "a real checkpoint");
+    }
+
+    ramp::sim::check::check_n("hostile_checkpoints_restore_cleanly", 32, |g| {
+        let blob = g.pick(&blobs);
+        let mut bytes = blob.clone();
+        mutate(g, &mut bytes);
+        if bytes.len() >= 29 && g.bool() {
+            bytes = encode_framed(
+                CHECKPOINT_KIND,
+                CHECKPOINT_VERSION,
+                &bytes[21..bytes.len() - 8],
+            );
+        }
+        assert_restores_cleanly(&bytes, limit(bytes.len()));
+
+        let payload = decode_framed(blob, CHECKPOINT_KIND, CHECKPOINT_VERSION).unwrap();
+        for _ in 0..4 {
+            let from = if g.bool() { payload.len() / 2 } else { 0 };
+            let at = g.usize_in(from, payload.len() - 10);
+            let mut hostile = payload.to_vec();
+            match g.u64_below(3) {
+                0 => {
+                    let claim = g.u64_below(payload.len() as u64 + 1) as u32;
+                    hostile[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+                }
+                1 => {
+                    let page = *g.pick(&[
+                        footprint[footprint.len() - 1].0 + 1,
+                        (1 << 22) - 1,
+                        (4095 << 22) | ((1 << 22) - 1),
+                        u64::MAX,
+                    ]);
+                    hostile[at..at + 8].copy_from_slice(&page.to_le_bytes());
+                }
+                _ => {
+                    let run = g.usize_in(1, 11);
+                    hostile[at..at + run].fill(0xff);
+                }
+            }
+            let framed = encode_framed(CHECKPOINT_KIND, CHECKPOINT_VERSION, &hostile);
+            assert_restores_cleanly(&framed, limit(framed.len()));
         }
     });
 }
