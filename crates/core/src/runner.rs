@@ -1,8 +1,13 @@
 //! High-level experiment orchestration: profiling passes, static
 //! placements, dynamic migration runs and annotation runs.
 //!
-//! Every paper experiment is some composition of these functions; the
-//! `ramp-bench` binaries only choose workloads, policies and formatting.
+//! Every run but the profile is two steps. A placement step reads the
+//! DDR-only profile's page statistics and reduces them to a small
+//! [`Placement`]: the pages that start in HBM, plus the annotation set of
+//! an annotated run. [`build_sim`] then builds the simulator from that
+//! placement alone. Every paper experiment is some composition of these
+//! functions; the `ramp-bench` binaries only choose workloads, policies
+//! and formatting.
 
 use std::collections::HashSet;
 
@@ -16,21 +21,132 @@ use crate::migration::{MigrationEngine, MigrationScheme};
 use crate::placement::PlacementPolicy;
 use crate::system::{RunResult, SystemSim};
 
-/// Builds the DDR-only profiling simulator without running it.
+/// What a run reads of its profile: where its pages start.
+#[derive(Clone, Debug, Default)]
+pub struct Placement {
+    /// The pages that start in HBM, ascending. There are at most
+    /// `hbm_capacity_pages` of them, unless annotations pin more (the
+    /// simulator then places them in order until HBM is full).
+    pub hbm: Vec<PageId>,
+    /// The annotation set of an annotated run, whose pages are pinned.
+    pub annotations: Option<AnnotationSet>,
+}
+
+/// The placement of a static run under `policy`.
+pub fn static_placement(
+    cfg: &SystemConfig,
+    policy: PlacementPolicy,
+    profile: &StatsTable,
+) -> Placement {
+    Placement {
+        hbm: ascending(policy.select(profile, cfg.hbm_capacity_pages as usize)),
+        annotations: None,
+    }
+}
+
+/// The placement a migration run starts from.
 ///
-/// The `build_*` constructors are deterministic in their arguments, so a
-/// simulator built twice from the same inputs is identical — which is what
-/// lets a checkpoint ([`SystemSim::save_state`]) restore into a freshly
-/// built instance and resume.
+/// Cold-start is eliminated as in the paper (Sections 6.1/6.2): the run
+/// starts from the matching static oracular placement — top-hot for the
+/// performance-focused scheme, hot-and-low-risk for the reliability-aware
+/// ones.
+pub fn migration_placement(
+    cfg: &SystemConfig,
+    scheme: MigrationScheme,
+    profile: &StatsTable,
+) -> Placement {
+    let capacity = cfg.hbm_capacity_pages as usize;
+    let hbm = match scheme {
+        MigrationScheme::PerfFc => {
+            ascending(PlacementPolicy::PerfFocused.select(profile, capacity))
+        }
+        // "Top hot and low-risk pages from our static oracular placement"
+        // (Section 6.2); spare capacity is topped up with the next-best
+        // Wr2-ranked pages so HBM does not start idle.
+        MigrationScheme::RelFc | MigrationScheme::CrossCounter => top_up(
+            PlacementPolicy::Balanced.select(profile, capacity),
+            capacity,
+            || PlacementPolicy::Wr2Ratio.select(profile, capacity),
+        ),
+    };
+    Placement {
+        hbm,
+        annotations: None,
+    }
+}
+
+/// The placement of the annotation-based runs of Section 7:
+/// profile-selected structures are pinned in HBM, and the remaining
+/// capacity is filled with the hottest non-pinned pages, or, when a
+/// migration `scheme` manages the rest, with hot-and-low-risk ones.
+pub fn annotated_placement(
+    cfg: &SystemConfig,
+    workload: &Workload,
+    profile: &StatsTable,
+    scheme: Option<MigrationScheme>,
+) -> Placement {
+    let capacity = cfg.hbm_capacity_pages as usize;
+    let annotations = select_annotations(workload, profile, capacity, cfg.seed);
+    let fill = match scheme {
+        None => PlacementPolicy::PerfFocused,
+        Some(_) => PlacementPolicy::Balanced,
+    };
+    Placement {
+        hbm: top_up(annotations.pinned.clone(), capacity, || {
+            fill.select(profile, capacity)
+        }),
+        annotations: Some(annotations),
+    }
+}
+
+/// `base` plus, while it holds fewer than `capacity` pages, the pages of
+/// `ranking()` it lacks, lowest id first; ascending.
+fn top_up(
+    mut base: HashSet<PageId>,
+    capacity: usize,
+    ranking: impl FnOnce() -> HashSet<PageId>,
+) -> Vec<PageId> {
+    if base.len() < capacity {
+        let mut extra: Vec<PageId> = ranking().difference(&base).copied().collect();
+        extra.sort_unstable();
+        extra.truncate(capacity - base.len());
+        base.extend(extra);
+    }
+    ascending(base)
+}
+
+fn ascending(pages: HashSet<PageId>) -> Vec<PageId> {
+    let mut pages: Vec<PageId> = pages.into_iter().collect();
+    pages.sort_unstable();
+    pages
+}
+
+/// Builds the simulator of a run labelled `label` that starts from
+/// `placement`, without running it.
+///
+/// The builders are deterministic in their arguments, so a simulator
+/// built twice from the same inputs is identical — which is what lets a
+/// checkpoint ([`SystemSim::save_state`]) restore into a freshly built
+/// instance and resume.
+pub fn build_sim(
+    cfg: &SystemConfig,
+    workload: &Workload,
+    label: impl Into<String>,
+    placement: &Placement,
+    engine: Option<MigrationEngine>,
+) -> SystemSim {
+    let pinned = placement
+        .annotations
+        .as_ref()
+        .map_or_else(HashSet::new, |set| set.pinned.clone());
+    SystemSim::new(cfg.clone(), workload, label, &placement.hbm, pinned, engine)
+}
+
+/// Builds the DDR-only profiling simulator without running it: nothing
+/// starts in HBM.
 pub fn build_profile_sim(cfg: &SystemConfig, workload: &Workload) -> SystemSim {
-    SystemSim::new(
-        cfg.clone(),
-        workload,
-        PlacementPolicy::DdrOnly.name(),
-        &HashSet::new(),
-        HashSet::new(),
-        None,
-    )
+    let label = PlacementPolicy::DdrOnly.name();
+    build_sim(cfg, workload, label, &Placement::default(), None)
 }
 
 /// Runs the workload on a DDR-only system and returns its page statistics
@@ -40,23 +156,15 @@ pub fn profile_workload(cfg: &SystemConfig, workload: &Workload) -> RunResult {
     build_profile_sim(cfg, workload).run()
 }
 
-/// Builds the static-placement simulator without running it (see
-/// [`build_profile_sim`] on why builders exist).
+/// Builds the static-placement simulator without running it.
 pub fn build_static_sim(
     cfg: &SystemConfig,
     workload: &Workload,
     policy: PlacementPolicy,
     profile: &StatsTable,
 ) -> SystemSim {
-    let initial = policy.select(profile, cfg.hbm_capacity_pages as usize);
-    SystemSim::new(
-        cfg.clone(),
-        workload,
-        policy.name(),
-        &initial,
-        HashSet::new(),
-        None,
-    )
+    let placement = static_placement(cfg, policy, profile);
+    build_sim(cfg, workload, policy.name(), &placement, None)
 }
 
 /// Runs a static placement chosen by `policy` from profiling statistics.
@@ -69,12 +177,20 @@ pub fn run_static(
     build_static_sim(cfg, workload, policy, profile).run()
 }
 
-/// Runs a dynamic migration scheme.
-///
-/// Cold-start is eliminated as in the paper (Sections 6.1/6.2): the run
-/// starts from the matching static oracular placement — top-hot for the
-/// performance-focused scheme, hot-and-low-risk for the reliability-aware
-/// ones — derived from `profile`.
+/// Builds the dynamic-migration simulator without running it; it starts
+/// from [`migration_placement`].
+pub fn build_migration_sim(
+    cfg: &SystemConfig,
+    workload: &Workload,
+    scheme: MigrationScheme,
+    profile: &StatsTable,
+) -> SystemSim {
+    let placement = migration_placement(cfg, scheme, profile);
+    let engine = Some(MigrationEngine::new(scheme));
+    build_sim(cfg, workload, scheme.name(), &placement, engine)
+}
+
+/// Runs a dynamic migration scheme from [`migration_placement`].
 pub fn run_migration(
     cfg: &SystemConfig,
     workload: &Workload,
@@ -84,52 +200,7 @@ pub fn run_migration(
     build_migration_sim(cfg, workload, scheme, profile).run()
 }
 
-/// Builds the dynamic-migration simulator without running it (see
-/// [`build_profile_sim`] on why builders exist).
-pub fn build_migration_sim(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    scheme: MigrationScheme,
-    profile: &StatsTable,
-) -> SystemSim {
-    let capacity = cfg.hbm_capacity_pages as usize;
-    let initial = match scheme {
-        MigrationScheme::PerfFc => PlacementPolicy::PerfFocused.select(profile, capacity),
-        MigrationScheme::RelFc | MigrationScheme::CrossCounter => {
-            // "Top hot and low-risk pages from our static oracular
-            // placement" (Section 6.2); spare capacity is topped up with
-            // the next-best Wr2-ranked pages so HBM does not start idle.
-            let mut set = PlacementPolicy::Balanced.select(profile, capacity);
-            if set.len() < capacity {
-                let mut extra: Vec<_> = PlacementPolicy::Wr2Ratio
-                    .select(profile, capacity)
-                    .difference(&set)
-                    .copied()
-                    .collect();
-                extra.sort();
-                for p in extra {
-                    if set.len() >= capacity {
-                        break;
-                    }
-                    set.insert(p);
-                }
-            }
-            set
-        }
-    };
-    SystemSim::new(
-        cfg.clone(),
-        workload,
-        scheme.name(),
-        &initial,
-        HashSet::new(),
-        Some(MigrationEngine::new(scheme)),
-    )
-}
-
-/// Runs the annotation-based placement of Section 7: profile-selected
-/// structures are pinned in HBM, the remaining capacity is filled with the
-/// hottest non-pinned pages, and no migration runs.
+/// Runs the annotation-based placement of Section 7 with no migration.
 ///
 /// Returns the run result together with the annotation set (whose
 /// [`AnnotationSet::count`] is the Figure 17 metric).
@@ -138,41 +209,12 @@ pub fn run_annotated(
     workload: &Workload,
     profile: &StatsTable,
 ) -> (RunResult, AnnotationSet) {
-    let (sim, annotations) = build_annotated_sim(cfg, workload, profile);
-    (sim.run(), annotations)
-}
-
-/// Builds the annotation-run simulator without running it (see
-/// [`build_profile_sim`] on why builders exist).
-pub fn build_annotated_sim(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    profile: &StatsTable,
-) -> (SystemSim, AnnotationSet) {
-    let capacity = cfg.hbm_capacity_pages as usize;
-    let annotations = select_annotations(workload, profile, capacity, cfg.seed);
-    let mut initial: HashSet<PageId> = annotations.pinned.clone();
-    if initial.len() < capacity {
-        // Fill spare capacity with the hottest non-pinned pages.
-        let extra = PlacementPolicy::PerfFocused.select(profile, capacity);
-        let mut extras: Vec<PageId> = extra.difference(&initial).copied().collect();
-        extras.sort();
-        for p in extras {
-            if initial.len() >= capacity {
-                break;
-            }
-            initial.insert(p);
-        }
-    }
-    let sim = SystemSim::new(
-        cfg.clone(),
-        workload,
-        "annotations",
-        &initial,
-        annotations.pinned.clone(),
-        None,
-    );
-    (sim, annotations)
+    let placement = annotated_placement(cfg, workload, profile, None);
+    let run = build_sim(cfg, workload, "annotations", &placement, None).run();
+    (
+        run,
+        placement.annotations.expect("annotated placements pin"),
+    )
 }
 
 /// The paper's Section 7 closing suggestion, implemented as an extension:
@@ -185,44 +227,14 @@ pub fn run_annotated_with_migration(
     scheme: MigrationScheme,
     profile: &StatsTable,
 ) -> (RunResult, AnnotationSet) {
-    let (sim, annotations) = build_annotated_migration_sim(cfg, workload, scheme, profile);
-    (sim.run(), annotations)
-}
-
-/// Builds the annotations-plus-migration simulator without running it (see
-/// [`build_profile_sim`] on why builders exist).
-pub fn build_annotated_migration_sim(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    scheme: MigrationScheme,
-    profile: &StatsTable,
-) -> (SystemSim, AnnotationSet) {
-    let capacity = cfg.hbm_capacity_pages as usize;
-    let annotations = select_annotations(workload, profile, capacity, cfg.seed);
-    let mut initial: HashSet<PageId> = annotations.pinned.clone();
-    if initial.len() < capacity {
-        let mut extra: Vec<PageId> = PlacementPolicy::Balanced
-            .select(profile, capacity)
-            .difference(&initial)
-            .copied()
-            .collect();
-        extra.sort();
-        for p in extra {
-            if initial.len() >= capacity {
-                break;
-            }
-            initial.insert(p);
-        }
-    }
-    let sim = SystemSim::new(
-        cfg.clone(),
-        workload,
-        format!("annotations+{}", scheme.name()),
-        &initial,
-        annotations.pinned.clone(),
-        Some(MigrationEngine::new(scheme)),
-    );
-    (sim, annotations)
+    let placement = annotated_placement(cfg, workload, profile, Some(scheme));
+    let label = format!("annotations+{}", scheme.name());
+    let engine = Some(MigrationEngine::new(scheme));
+    let run = build_sim(cfg, workload, label, &placement, engine).run();
+    (
+        run,
+        placement.annotations.expect("annotated placements pin"),
+    )
 }
 
 #[cfg(test)]

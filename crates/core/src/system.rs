@@ -179,14 +179,14 @@ impl SystemSim {
     /// Builds a simulator for `workload` with an initial HBM placement and
     /// optional migration engine.
     ///
-    /// `initial_hbm` pages are bound into HBM before execution (truncated
-    /// at capacity, deterministically by page id); `pinned` pages are
-    /// additionally immune to migration.
+    /// The distinct `initial_hbm` pages are bound into HBM before
+    /// execution (truncated at capacity, deterministically by page id);
+    /// `pinned` pages are additionally immune to migration.
     pub fn new(
         cfg: SystemConfig,
         workload: &Workload,
         policy_name: impl Into<String>,
-        initial_hbm: &HashSet<PageId>,
+        initial_hbm: &[PageId],
         pinned: HashSet<PageId>,
         engine: Option<MigrationEngine>,
     ) -> Self {
@@ -214,8 +214,8 @@ impl SystemSim {
             })
             .collect();
         let mut pagemap = PageMap::new(cfg.hbm_capacity_pages);
-        let mut initial: Vec<PageId> = initial_hbm.iter().copied().collect();
-        initial.sort();
+        let mut initial = initial_hbm.to_vec();
+        initial.sort_unstable();
         for p in initial {
             if pagemap.place_in_hbm(p).is_err() {
                 break;
@@ -791,15 +791,15 @@ mod tests {
     use super::*;
     use ramp_trace::Benchmark;
 
-    fn smoke_run(policy: &str, initial: HashSet<PageId>) -> RunResult {
+    fn smoke_run(policy: &str, initial: &[PageId]) -> RunResult {
         let cfg = SystemConfig::smoke_test();
         let wl = Workload::Homogeneous(Benchmark::Astar);
-        SystemSim::new(cfg, &wl, policy, &initial, HashSet::new(), None).run()
+        SystemSim::new(cfg, &wl, policy, initial, HashSet::new(), None).run()
     }
 
     #[test]
     fn ddr_only_smoke_run_completes() {
-        let r = smoke_run("ddr-only", HashSet::new());
+        let r = smoke_run("ddr-only", &[]);
         assert!(r.ipc > 0.1, "ipc {}", r.ipc);
         assert!(r.instructions >= 4 * 150_000);
         assert_eq!(r.hbm_accesses, 0);
@@ -811,8 +811,8 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let a = smoke_run("x", HashSet::new());
-        let b = smoke_run("x", HashSet::new());
+        let a = smoke_run("x", &[]);
+        let b = smoke_run("x", &[]);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.ser_fit, b.ser_fit);
         assert_eq!(a.hbm_accesses, b.hbm_accesses);
@@ -823,11 +823,11 @@ mod tests {
         // Place the first pages of every core's footprint in HBM.
         let cfg = SystemConfig::smoke_test();
         let wl = Workload::Homogeneous(Benchmark::Astar);
-        let mut initial = HashSet::new();
+        let mut initial = Vec::new();
         for gen in wl.build_cores(cfg.seed, 1) {
             let base = gen.base_page().index();
             for p in 0..128 {
-                initial.insert(PageId(base + p));
+                initial.push(PageId(base + p));
             }
         }
         let r = SystemSim::new(cfg, &wl, "some-hbm", &initial, HashSet::new(), None).run();
@@ -841,15 +841,7 @@ mod tests {
         let cfg = SystemConfig::smoke_test();
         let wl = Workload::Homogeneous(Benchmark::Libquantum);
         let engine = MigrationEngine::new(MigrationScheme::PerfFc);
-        let r = SystemSim::new(
-            cfg,
-            &wl,
-            "perf-fc",
-            &HashSet::new(),
-            HashSet::new(),
-            Some(engine),
-        )
-        .run();
+        let r = SystemSim::new(cfg, &wl, "perf-fc", &[], HashSet::new(), Some(engine)).run();
         let t = &r.telemetry;
         // Every top-level scope the acceptance criteria name is present.
         assert_eq!(
@@ -896,7 +888,7 @@ mod tests {
             SystemConfig::smoke_test(),
             &wl,
             "perf-fc",
-            &HashSet::new(),
+            &[],
             HashSet::new(),
             Some(engine2),
         )
@@ -912,7 +904,7 @@ mod tests {
             cfg,
             &wl,
             "perf-fc",
-            &HashSet::new(),
+            &[],
             HashSet::new(),
             Some(MigrationEngine::new(MigrationScheme::PerfFc)),
         )
@@ -996,7 +988,7 @@ mod tests {
             SystemConfig::smoke_test(),
             &wl,
             "ddr-only",
-            &HashSet::new(),
+            &[],
             HashSet::new(),
             None,
         );
@@ -1009,15 +1001,7 @@ mod tests {
         let cfg = SystemConfig::smoke_test();
         let wl = Workload::Homogeneous(Benchmark::Libquantum);
         let engine = MigrationEngine::new(MigrationScheme::PerfFc);
-        let r = SystemSim::new(
-            cfg,
-            &wl,
-            "perf-fc",
-            &HashSet::new(),
-            HashSet::new(),
-            Some(engine),
-        )
-        .run();
+        let r = SystemSim::new(cfg, &wl, "perf-fc", &[], HashSet::new(), Some(engine)).run();
         assert!(r.migrations > 0, "expected migrations");
         assert!(r.hbm_accesses > 0, "migrated pages must serve traffic");
     }

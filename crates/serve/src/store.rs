@@ -312,12 +312,6 @@ impl RunStore {
         true
     }
 
-    /// Whether a run entry file exists under `key`: a stat, with no read,
-    /// no decode and no counter. The entry may still fail to load.
-    pub fn contains_run(&self, key: &str) -> bool {
-        self.path_for(key, "run").is_file()
-    }
-
     /// Loads the run stored under `key`, if present and valid.
     /// Undecodable entries are quarantined and count as misses.
     pub fn load_run(&self, key: &str) -> Option<RunResult> {

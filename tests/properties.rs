@@ -536,7 +536,7 @@ fn checkpoint_sim() -> ramp::core::system::SystemSim {
         SystemConfig::smoke_test(),
         &ramp::trace::Workload::Homogeneous(Benchmark::Libquantum),
         "perf-fc",
-        &HashSet::new(),
+        &[],
         HashSet::new(),
         Some(MigrationEngine::new(MigrationScheme::PerfFc)),
     )

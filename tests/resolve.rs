@@ -8,6 +8,8 @@
 //!   handle is answered by the store alone, byte for byte, and a memo
 //!   pass by the memo alone;
 //! - without a store, runs that read one profile simulate it once;
+//! - with one, a cold call loads each stored profile once, and a stored
+//!   profile that does not decode is quarantined and simulated once;
 //! - a profile that panics fails its dependents as skips, and nothing
 //!   reaches the store.
 
@@ -19,6 +21,7 @@ use ramp::avf::StatsTable;
 use ramp::core::config::SystemConfig;
 use ramp::core::migration::MigrationScheme;
 use ramp::core::placement::PlacementPolicy;
+use ramp::core::runner::profile_workload;
 use ramp::core::system::RunResult;
 use ramp::serve::spec::{resolve, Job, Memo, Resolver, RunAction, RunSpec, Tier, PROFILE_POLICY};
 use ramp::serve::store::RunStore;
@@ -28,6 +31,7 @@ use ramp::sim::exec::{ExecMetrics, TaskOptions};
 use ramp::trace::{Benchmark, Workload};
 
 const LBM: Workload = Workload::Homogeneous(Benchmark::Lbm);
+const MCF: Workload = Workload::Homogeneous(Benchmark::Mcf);
 
 fn smoke() -> SystemConfig {
     SystemConfig {
@@ -171,6 +175,122 @@ fn storeless_runs_simulate_their_profile_once() {
         assert_eq!((done.tier, done.persisted), (Tier::Simulated, true));
         assert!(done.value > 0.0);
     }
+}
+
+/// Static jobs of `workloads` under `policies`, workload-major.
+fn statics<'a>(
+    cfg: &'a SystemConfig,
+    workloads: &[Workload],
+    policies: &[PlacementPolicy],
+) -> Vec<Job<'a>> {
+    let spec = |workload, p| RunSpec {
+        workload,
+        action: RunAction::Static(p),
+    };
+    (workloads.iter())
+        .flat_map(|&w| policies.iter().map(move |&p| (cfg, spec(w, p))))
+        .collect()
+}
+
+/// Every job's full `encode_run` bytes, in input order.
+fn encoded(jobs: &[Job<'_>], how: &Resolver<'_>) -> (Vec<Vec<u8>>, u64) {
+    let resolution = resolve(jobs, how, None, |_, _, f| encode_run(&f.run));
+    let bytes = (resolution.jobs.into_iter())
+        .map(|r| {
+            let done = r.expect("job fails");
+            assert_eq!((done.tier, done.persisted), (Tier::Simulated, true));
+            done.value
+        })
+        .collect();
+    (bytes, resolution.profile_sims)
+}
+
+#[test]
+fn cold_call_loads_each_stored_profile_once() {
+    let cfg = smoke();
+    let dir = scratch("profiles");
+    let profiles: Vec<Job<'_>> = [LBM, MCF]
+        .map(|workload| {
+            let action = RunAction::Profile;
+            (&cfg, RunSpec { workload, action })
+        })
+        .to_vec();
+    let store = RunStore::open(&dir).unwrap();
+    resolve(&profiles, &Resolver::new(Some(&store)), None, |_, _, _| ());
+    drop(store);
+
+    let policies = [
+        PlacementPolicy::PerfFocused,
+        PlacementPolicy::RelFocused,
+        PlacementPolicy::Balanced,
+        PlacementPolicy::Wr2Ratio,
+    ];
+    let jobs = statics(&cfg, &[LBM, MCF], &policies);
+    let store = RunStore::open(&dir).unwrap();
+    let how = |store| Resolver {
+        threads: 2,
+        ..Resolver::new(store)
+    };
+    let (served, sims) = encoded(&jobs, &how(Some(&store)));
+    assert_eq!(sims, 0);
+    assert_eq!(
+        writes_misses_hits(&store),
+        (8, 8, 2),
+        "one load per profile"
+    );
+    let (fresh, sims) = encoded(&jobs, &how(None));
+    assert_eq!(sims, 2);
+    assert!(served == fresh, "runs from stored profiles differ");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damaged_stored_profile_is_simulated_once_and_counted() {
+    let cfg = smoke();
+    let policies = [
+        PlacementPolicy::PerfFocused,
+        PlacementPolicy::RelFocused,
+        PlacementPolicy::Balanced,
+    ];
+    let jobs = statics(&cfg, &[LBM], &policies);
+    let profiles = AtomicUsize::new(0);
+    let count = |_: &SystemConfig, s: RunSpec| {
+        if s.action == RunAction::Profile {
+            profiles.fetch_add(1, Ordering::SeqCst);
+        }
+    };
+    let how = |store| Resolver {
+        threads: 2,
+        on_simulate: Some(&count),
+        ..Resolver::new(store)
+    };
+    let clean_dir = scratch("clean");
+    let clean_store = RunStore::open(&clean_dir).unwrap();
+    let (clean, _) = encoded(&jobs, &how(Some(&clean_store)));
+    profiles.store(0, Ordering::SeqCst);
+
+    // A profile entry that exists but does not decode: cut in half.
+    let dir = scratch("damaged");
+    let store = RunStore::open(&dir).unwrap();
+    let key = spec(RunAction::Profile).key(&cfg);
+    assert!(store.store_run(&key, &profile_workload(&cfg, &LBM)));
+    let entry = (std::fs::read_dir(&dir).unwrap())
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "run"))
+        .expect("the profile entry");
+    let bytes = std::fs::read(&entry).unwrap();
+    std::fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
+
+    let (damaged, sims) = encoded(&jobs, &how(Some(&store)));
+    assert_eq!(profiles.load(Ordering::SeqCst), 1, "profile simulations");
+    assert_eq!(sims, 1);
+    assert_eq!(store.metrics().quarantined.load(Ordering::Relaxed), 1);
+    assert!(
+        damaged == clean,
+        "runs over the re-simulated profile differ"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&clean_dir);
 }
 
 #[test]
