@@ -42,7 +42,9 @@ fn main() {
             format!("{:.2}", share),
         ]);
     }
+    let mut out = String::new();
     print_table(
+        &mut out,
         "Calibration (DDR-only profiling runs)",
         &[
             "workload",
@@ -59,5 +61,6 @@ fn main() {
         ],
         &rows,
     );
+    print!("{out}");
     ramp_bench::finish(&h);
 }

@@ -50,11 +50,14 @@ fn main() {
             format!("{:.3} / {}", both.ipc / base.ipc, fmt_x(both_red)),
         ]);
     }
+    let mut out = String::new();
     print_table(
+        &mut out,
         "Extension: annotations alone vs annotations + Cross-Counter migration (IPC rel / SER reduction vs perf-static)",
         &["workload", "annotations", "annotations + CC"],
         &rows,
     );
+    print!("{out}");
     println!(
         "\nmean SER reduction: annotations {} -> with CC {} (paper: 'could potentially further improve')",
         fmt_x(geomean_or_one(&ann_sers)),

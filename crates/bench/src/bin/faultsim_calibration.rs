@@ -1,63 +1,4 @@
-//! FaultSim calibration: uncorrected-error FIT per GB for the two memories
-//! (Section 3.2: 100K SEC-DED trials, 1M ChipKill trials).
-//!
-//! The resulting rates feed the SER model (Equation 2); EXPERIMENTS.md
-//! records the calibrated values and the DDR residual floor.
-
-use ramp_bench::print_table;
-use ramp_faultsim::{run_monte_carlo, RasConfig};
-use ramp_sim::exec::{default_threads, parallel_map, StageTimer};
-use ramp_sim::SimRng;
-
+//! Section 3.2: FaultSim uncorrected FIT/GB of each memory (its `all_experiments` section).
 fn main() {
-    let root = SimRng::from_seed(2018);
-    // Trial counts from the paper, scaled by mission count. The two
-    // Monte Carlos are independent tasks on decorrelated child streams,
-    // so they shard across cores with results in input order.
-    let tasks = vec![
-        ("secded", RasConfig::hbm_secded(), 2_000_000u64),
-        ("chipkill", RasConfig::ddr_chipkill(), 1_000_000u64),
-    ];
-    let threads = default_threads().min(tasks.len());
-    let timer = StageTimer::new(format!("faultsim x{} (threads={threads})", tasks.len()));
-    let mut results = parallel_map(threads, tasks, |_, (label, ras, trials)| {
-        run_monte_carlo(ras, *trials, &mut root.child(label))
-    });
-    timer.finish();
-    let ddr = results.pop().expect("chipkill outcome");
-    let hbm = results.pop().expect("secded outcome");
-    let rows = vec![
-        vec![
-            "HBM / SEC-DED".into(),
-            hbm.faults.to_string(),
-            hbm.corrected.to_string(),
-            hbm.detected_ue.to_string(),
-            hbm.silent_ue.to_string(),
-            format!("{:.3}", hbm.fit_uncorrected_per_gb()),
-        ],
-        vec![
-            "DDR / ChipKill".into(),
-            ddr.faults.to_string(),
-            ddr.corrected.to_string(),
-            ddr.detected_ue.to_string(),
-            ddr.silent_ue.to_string(),
-            format!("{:.5}", ddr.fit_uncorrected_per_gb()),
-        ],
-    ];
-    print_table(
-        "FaultSim Monte Carlo (per-memory RAS)",
-        &[
-            "memory",
-            "faults",
-            "corrected",
-            "DUE",
-            "SDC",
-            "uncorrected FIT/GB",
-        ],
-        &rows,
-    );
-    println!(
-        "\ncalibrated SER model uses HBM 50 FIT/GB, DDR 0.05 FIT/GB (simulated ChipKill DUEs\n\
-         plus the residual-uncorrected floor documented in EXPERIMENTS.md)."
-    );
+    ramp_bench::figures::run(Some("faultsim"));
 }

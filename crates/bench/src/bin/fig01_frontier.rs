@@ -1,117 +1,4 @@
-//! Figure 1: the reliability-performance frontier of hot-page placement.
-//!
-//! Sweeping the fraction of HBM filled with the hottest pages (astar,
-//! cactusADM, mix1 averaged) traces the frontier: full performance costs
-//! orders of magnitude in SER. Reliability-aware points (Wr2, balanced)
-//! sit in the otherwise-inaccessible top-right region.
-//!
-//! Since the sweep engine landed this binary is a thin client of
-//! `ramp_sweep`: the workload×placement plane is enumerated as a
-//! [`SweepSpec`], executed through the store-deduped engine (so a
-//! second invocation simulates nothing), and the Pareto frontier is the
-//! engine's dominance ranking rather than hand-read off the table.
-
-use ramp_bench::{experiment_config, fmt_x, geomean_or_one, print_table, threads};
-use ramp_serve::store::RunStore;
-use ramp_sweep::engine::{self, SweepRun};
-use ramp_sweep::spec::{parse_action, Strategy, SweepSpec};
-use ramp_trace::{Benchmark, MixId, Workload};
-
-/// The placement axis, in table order: the frac-hottest sweep plus the
-/// reliability-aware reference points (tokens are sweep policy tokens).
-const PLACEMENTS: [&str; 7] = [
-    "frac-hottest-0.00",
-    "frac-hottest-0.25",
-    "frac-hottest-0.50",
-    "frac-hottest-0.75",
-    "frac-hottest-1.00",
-    "wr2-ratio",
-    "balanced",
-];
-
-fn lookup<'a>(run: &'a SweepRun, workload: &str, policy: &str) -> &'a engine::PointRow {
-    run.rows
-        .iter()
-        .find(|r| r.workload == workload && r.policy == policy)
-        .unwrap_or_else(|| panic!("sweep produced no {workload}/{policy} row"))
-}
-
+//! Figure 1: the reliability-performance frontier of hot pages (its `all_experiments` section).
 fn main() {
-    let wls = [
-        Workload::Homogeneous(Benchmark::Astar),
-        Workload::Homogeneous(Benchmark::CactusADM),
-        Workload::Mix(MixId::Mix1),
-    ];
-    let mut policies: Vec<(String, _)> =
-        vec![("profile".to_string(), parse_action("profile").unwrap())];
-    for token in PLACEMENTS {
-        policies.push((token.to_string(), parse_action(token).unwrap()));
-    }
-    let spec = SweepSpec {
-        name: "fig01-frontier".to_string(),
-        strategy: Strategy::Grid,
-        seed: 0,
-        samples: 0,
-        rungs: 3,
-        base_label: "table1".to_string(),
-        base: experiment_config(),
-        workloads: wls.to_vec(),
-        policies,
-        knobs: Vec::new(),
-    };
-    let store = RunStore::from_env();
-    let run = engine::run_local(&spec, store.as_ref(), threads()).unwrap_or_else(|e| {
-        eprintln!("fig01_frontier: {e}");
-        std::process::exit(1);
-    });
-
-    let mut rows = Vec::new();
-    for (token, label) in PLACEMENTS.iter().map(|t| {
-        let label = match *t {
-            "frac-hottest-0.00" => "0% of HBM".to_string(),
-            "frac-hottest-0.25" => "25% of HBM".to_string(),
-            "frac-hottest-0.50" => "50% of HBM".to_string(),
-            "frac-hottest-0.75" => "75% of HBM".to_string(),
-            "frac-hottest-1.00" => "100% of HBM".to_string(),
-            other => other.to_string(),
-        };
-        (*t, label)
-    }) {
-        let mut ipcs = Vec::new();
-        let mut sers = Vec::new();
-        for wl in &wls {
-            let ddr = lookup(&run, wl.name(), "ddr-only");
-            let r = lookup(&run, wl.name(), token);
-            ipcs.push(r.ipc / ddr.ipc);
-            sers.push(r.ser_vs_ddr_only);
-        }
-        rows.push(vec![
-            label,
-            fmt_x(geomean_or_one(&ipcs)),
-            fmt_x(geomean_or_one(&sers)),
-        ]);
-    }
-    print_table(
-        "Figure 1: performance vs reliability frontier (astar+cactusADM+mix1)",
-        &["placement", "IPC vs DDR-only", "SER vs DDR-only"],
-        &rows,
-    );
-
-    // The engine's non-dominated sort over every (workload, placement)
-    // point: which placements are Pareto-optimal in (IPC, FIT) space.
-    let mut frontier: Vec<String> = run
-        .frontier()
-        .into_iter()
-        .map(|i| format!("{}/{}", run.rows[i].workload, run.rows[i].policy))
-        .collect();
-    frontier.sort();
-    println!(
-        "\nPareto frontier ({} of {} points): {}",
-        frontier.len(),
-        run.rows.len(),
-        frontier.join(", ")
-    );
-    println!("\npaper: hot-page placement trades up to ~287x SER for 1.6x IPC; reliability-aware\npoints reach near-full IPC at a fraction of the SER.");
-    // Volatile cache counters stay off the deterministic stdout.
-    eprintln!("{}", engine::summary_line(&run, store.as_ref()));
+    ramp_bench::figures::run(Some("fig01"));
 }

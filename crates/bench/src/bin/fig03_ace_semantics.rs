@@ -48,11 +48,14 @@ fn main() {
             "reads long after write: high AVF (80%)".into(),
         ],
     ];
+    let mut out = String::new();
     print_table(
+        &mut out,
         "Figure 3: line AVF per access sequence (1000-cycle window)",
         &["scenario", "line AVF", "interpretation"],
         &rows,
     );
+    print!("{out}");
     println!(
         "\n(c) and (d) have identical hotness but 4x different AVF — the paper's core insight."
     );

@@ -1,45 +1,4 @@
-//! Figure 6: hotness vs AVF of the 1000 hottest pages of mix1.
-//!
-//! Paper: most hot pages sit near 80 % AVF but some are below 60 % and as
-//! low as 5 %; the footprint-wide hotness-AVF correlation is ~0.08.
-
-use ramp_avf::{hotness_avf_correlation, hottest_pages};
-use ramp_bench::{print_table, Harness};
-use ramp_trace::{MixId, Workload};
-
+//! Figure 6: hotness vs AVF of the hottest pages of mix1 (its `all_experiments` section).
 fn main() {
-    let mut h = Harness::new();
-    let wl = Workload::Mix(MixId::Mix1);
-    let r = h.profile(&wl);
-    let hot = hottest_pages(&r.table);
-    let take = hot.len().min(1000);
-    // Print a decile summary of the top-1000 series (the figure's shape).
-    let mut rows = Vec::new();
-    for d in 0..10 {
-        let idx = (d * take) / 10;
-        let s = hot[idx];
-        rows.push(vec![
-            format!("{}", idx),
-            format!("{}", s.hotness()),
-            format!("{:.1}%", s.avf * 100.0),
-            format!("{:.2}", s.wr_ratio()),
-        ]);
-    }
-    print_table(
-        "Figure 6: top-1000 hottest pages of mix1 (decile samples)",
-        &["rank", "accesses", "AVF", "Wr ratio"],
-        &rows,
-    );
-    let lo = hot[..take].iter().map(|s| s.avf).fold(f64::MAX, f64::min);
-    let hi = hot[..take].iter().map(|s| s.avf).fold(0.0f64, f64::max);
-    let rho = hotness_avf_correlation(&r.table).unwrap_or(f64::NAN);
-    println!(
-        "\ntop-1000 AVF range: {:.1}%..{:.1}% (paper: 5%..~90%)",
-        lo * 100.0,
-        hi * 100.0
-    );
-    println!(
-        "footprint hotness-AVF correlation: {rho:.3} (paper: 0.08) — weak/moderate, far below 1"
-    );
-    ramp_bench::finish(&h);
+    ramp_bench::figures::run(Some("fig06"));
 }

@@ -1,42 +1,4 @@
-//! Figure 9: write ratio as an AVF proxy on mix1.
-//!
-//! Paper: (a) write ratio anti-correlates with AVF (rho = -0.32) over the
-//! hottest pages; (b) the footprint is mostly read-heavy but has large
-//! write-heavy bins.
-
-use ramp_avf::writeratio_avf_correlation;
-use ramp_bench::{print_table, Harness};
-use ramp_sim::stats::Histogram;
-use ramp_trace::{MixId, Workload};
-
+//! Figure 9: write ratio as an AVF proxy on mix1 (its `all_experiments` section).
 fn main() {
-    let mut h = Harness::new();
-    let wl = Workload::Mix(MixId::Mix1);
-    let r = h.profile(&wl);
-    let rho = writeratio_avf_correlation(&r.table, 1000).unwrap_or(f64::NAN);
-    println!("write-ratio vs AVF correlation (top 1000 hot pages): {rho:.2} (paper: -0.32)");
-
-    // Histogram of write fraction w/(r+w) binned by 20% as in Fig 9b.
-    let mut hist = Histogram::new(0.0, 1.0, 5);
-    for s in r.table.pages() {
-        if s.hotness() > 0 {
-            hist.push(s.writes as f64 / s.hotness() as f64);
-        }
-    }
-    let rows: Vec<Vec<String>> = hist
-        .iter()
-        .map(|(lo, hi, c)| {
-            vec![
-                format!("{:.0}%-{:.0}%", lo * 100.0, hi * 100.0),
-                c.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Figure 9b: pages per write-share bin (mix1, touched pages)",
-        &["write share", "pages"],
-        &rows,
-    );
-    println!("\npaper: mostly read-heavy pages, with substantial mass in the top two write bins.");
-    ramp_bench::finish(&h);
+    ramp_bench::figures::run(Some("fig09"));
 }

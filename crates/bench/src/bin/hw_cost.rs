@@ -1,50 +1,4 @@
-//! Sections 6.3 / 6.4.2: hardware cost of the migration mechanisms at the
-//! paper's full (unscaled) Table 1 capacities.
-
-use ramp_bench::print_table;
-use ramp_core::hwcost;
-
+//! Sections 6.3/6.4.2: hardware cost of the migration mechanisms (its `all_experiments` section).
 fn main() {
-    let rows = vec![
-        vec![
-            "perf-focused FC (1x 8-bit counter/page, 17 GB)".into(),
-            hwcost::human_bytes(hwcost::perf_fc_bytes()),
-            "4.25 MB".into(),
-        ],
-        vec![
-            "reliability-aware FC (2x 8-bit counters/page)".into(),
-            hwcost::human_bytes(hwcost::reliability_fc_bytes()),
-            "8.5 MB".into(),
-        ],
-        vec![
-            "reliability-aware FC extra vs perf".into(),
-            hwcost::human_bytes(hwcost::reliability_fc_extra_bytes()),
-            "4.25 MB".into(),
-        ],
-        vec![
-            "CC risk counters (16-bit x 262K HBM pages)".into(),
-            hwcost::human_bytes(hwcost::cc_risk_counter_bytes()),
-            "512 KB".into(),
-        ],
-        vec![
-            "CC MEA tracking".into(),
-            hwcost::human_bytes(hwcost::mea_bytes()),
-            "100 KB".into(),
-        ],
-        vec![
-            "CC remap table cache".into(),
-            hwcost::human_bytes(hwcost::remap_cache_bytes()),
-            "64 KB".into(),
-        ],
-        vec![
-            "Cross Counters total".into(),
-            hwcost::human_bytes(hwcost::cross_counter_total_bytes()),
-            "676 KB".into(),
-        ],
-    ];
-    print_table(
-        "Hardware cost (Sections 6.3/6.4.2)",
-        &["mechanism", "measured", "paper"],
-        &rows,
-    );
+    ramp_bench::figures::run(Some("hwcost"));
 }

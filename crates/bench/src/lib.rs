@@ -2,9 +2,11 @@
 //! and figure of the paper (see DESIGN.md's experiment index and
 //! EXPERIMENTS.md for paper-vs-measured numbers).
 //!
-//! Each figure has its own binary (`cargo run --release -p ramp-bench
-//! --bin fig05_perf_static`); `all_experiments` runs the whole suite,
-//! sharing profiling passes and baseline runs through [`Harness`].
+//! Each table and figure is defined once, as a section of the
+//! [`figures`] registry. `all_experiments` renders every section, sharing
+//! profiling passes and baseline runs through [`Harness`]; a
+//! single-figure binary (`cargo run --release -p ramp-bench --bin
+//! fig05_perf_static`) renders the sections that cover its figure.
 //!
 //! [`Harness`] is a typed view over [`ramp_serve::spec::resolve`], the
 //! one execution path that the sweep engine and the server use too.
@@ -25,10 +27,12 @@
 //! they surface only in the `RAMP_STATS=table` epilogue, never in the
 //! deterministic `json` document.
 
+pub mod figures;
 pub mod microbench;
 pub mod scorecard;
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use ramp_core::annotate::AnnotationSet;
 use ramp_core::config::SystemConfig;
@@ -72,30 +76,57 @@ pub fn threads() -> usize {
     ramp_sim::exec::default_threads()
 }
 
-/// The experiment configuration: Table 1 scaled, with env overrides.
+/// The experiment configuration: Table 1 scaled, with the `RAMP_INSTS`
+/// budget if set. A budget that does not parse ends the process with
+/// status 2.
 pub fn experiment_config() -> SystemConfig {
     let mut cfg = SystemConfig::table1_scaled();
-    if let Ok(v) = std::env::var(ENV_INSTS) {
-        if let Ok(n) = v.parse::<u64>() {
-            cfg.insts_per_core = n.max(10_000);
-        }
+    if let Some(n) = env_or_exit(ENV_INSTS, parse_insts) {
+        cfg.insts_per_core = n;
     }
     cfg
 }
 
 /// The evaluated workloads (14 by default; `RAMP_WORKLOADS=mix1,lbm` to
-/// restrict).
+/// restrict). A list with an unknown name ends the process with status 2.
 pub fn workloads() -> Vec<Workload> {
-    if let Ok(list) = std::env::var(ENV_WORKLOADS) {
-        let picked: Vec<Workload> = list
-            .split(',')
-            .filter_map(|n| Workload::from_name(n.trim()))
-            .collect();
-        if !picked.is_empty() {
-            return picked;
-        }
-    }
-    Workload::all()
+    env_or_exit(ENV_WORKLOADS, parse_workloads).unwrap_or_else(Workload::all)
+}
+
+/// Parses a `RAMP_INSTS` value: the per-core instruction budget, raised
+/// to at least 10,000.
+fn parse_insts(value: &str) -> Result<u64, String> {
+    value
+        .trim()
+        .parse::<u64>()
+        .map(|n| n.max(10_000))
+        .map_err(|_| format!("{ENV_INSTS}: `{value}` is not an instruction count"))
+}
+
+/// Parses a `RAMP_WORKLOADS` value: comma-separated workload names, each
+/// of them known.
+fn parse_workloads(list: &str) -> Result<Vec<Workload>, String> {
+    list.split(',')
+        .map(|name| {
+            Workload::from_name(name.trim()).ok_or_else(|| {
+                let valid: Vec<&str> = Workload::all().iter().map(|w| w.name()).collect();
+                format!(
+                    "{ENV_WORKLOADS}: unknown workload `{name}` (valid: {})",
+                    valid.join(", ")
+                )
+            })
+        })
+        .collect()
+}
+
+/// `parse` applied to environment variable `name`, if it is set; a value
+/// that does not parse is reported and ends the process with status 2.
+fn env_or_exit<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let value = std::env::var(name).ok()?;
+    Some(parse(&value).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    }))
 }
 
 /// Every `(workload, action)` pair of `wls` × `actions`, workload-major.
@@ -302,8 +333,10 @@ impl Harness {
     /// Workloads ordered by decreasing MPKI (how Figures 7/8 order their
     /// x-axes: bandwidth-intensive on the left).
     pub fn workloads_by_mpki(&mut self, wls: &[Workload]) -> Vec<Workload> {
-        let mut v: Vec<(f64, Workload)> =
-            wls.iter().map(|wl| (self.profile(wl).mpki, *wl)).collect();
+        let mut v: Vec<(f64, Workload)> = wls
+            .iter()
+            .map(|wl| (self.get(*wl, RunAction::Profile).run.mpki, *wl))
+            .collect();
         v.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         v.into_iter().map(|(_, w)| w).collect()
     }
@@ -390,130 +423,16 @@ pub fn finish(h: &Harness) {
     }
 }
 
-/// Figure 13's FC-interval sweep: the perf-FC migration IPC of each of
-/// `wls` at each of `intervals` (workload-major), formatted `{:.3}`.
-///
-/// Each point is a job under its own config, so all of them resolve in
-/// one call through the memo and the store, without retries or injected
-/// faults like the single-run getters; a point that cannot be produced
-/// panics. The base-config profiles join the telemetry document; the
-/// interval runs do not.
-pub fn fc_interval_sweep(h: &mut Harness, wls: &[Workload], intervals: &[u64]) -> Vec<String> {
-    h.prewarm(&specs(wls, &[RunAction::Profile]));
-    for wl in wls {
-        h.profile(wl); // a profile whose prewarm failed resolves again here
-    }
-    let cfgs: Vec<SystemConfig> = intervals
-        .iter()
-        .map(|&fc_interval_cycles| SystemConfig {
-            fc_interval_cycles,
-            ..h.cfg.clone()
-        })
-        .collect();
-    let action = RunAction::Migration(MigrationScheme::PerfFc);
-    let jobs: Vec<Job<'_>> = wls
-        .iter()
-        .flat_map(|&workload| {
-            cfgs.iter()
-                .map(move |cfg| (cfg, RunSpec { workload, action }))
-        })
-        .collect();
-    h.resolve(&jobs, TaskOptions::none())
-        .into_iter()
-        .map(|key| match key {
-            Some(k) => format!("{:.3}", h.memo[&k].run.ipc),
-            None => panic!("{}", h.failures.last().cloned().unwrap_or_default()),
-        })
-        .collect()
-}
-
-/// A static-policy comparison row: IPC and SER relative to the
-/// performance-focused placement (how Figures 7-11 are normalized).
-#[derive(Clone, Debug)]
-pub struct RelativeRow {
-    /// Workload name.
-    pub workload: String,
-    /// IPC of the policy divided by perf-focused IPC.
-    pub ipc_rel: f64,
-    /// SER reduction factor: perf-focused SER divided by policy SER.
-    pub ser_reduction: f64,
-}
-
-/// Runs `policy` against the performance-focused baseline over `wls`.
-pub fn static_vs_perf(
-    h: &mut Harness,
-    wls: &[Workload],
-    policy: PlacementPolicy,
-) -> Vec<RelativeRow> {
-    wls.iter()
-        .map(|wl| {
-            let base = h.static_run(wl, PlacementPolicy::PerfFocused);
-            let run = h.static_run(wl, policy);
-            RelativeRow {
-                workload: wl.name().to_string(),
-                ipc_rel: run.ipc / base.ipc,
-                ser_reduction: base.ser_fit / run.ser_fit.max(f64::MIN_POSITIVE),
-            }
-        })
-        .collect()
-}
-
-/// Runs migration `scheme` against the performance-focused migration
-/// baseline over `wls` (how Figures 14/15 are normalized).
-pub fn migration_vs_perf(
-    h: &mut Harness,
-    wls: &[Workload],
-    scheme: MigrationScheme,
-) -> Vec<RelativeRow> {
-    wls.iter()
-        .map(|wl| {
-            let base = h.migration_run(wl, MigrationScheme::PerfFc);
-            let run = h.migration_run(wl, scheme);
-            RelativeRow {
-                workload: wl.name().to_string(),
-                ipc_rel: run.ipc / base.ipc,
-                ser_reduction: base.ser_fit / run.ser_fit.max(f64::MIN_POSITIVE),
-            }
-        })
-        .collect()
-}
-
-/// Prints relative rows plus their means, paper-style.
-pub fn print_relative(title: &str, rows: &[RelativeRow], paper_ipc_loss: &str, paper_ser: &str) {
-    let data: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                format!("{:.3}", r.ipc_rel),
-                fmt_x(r.ser_reduction),
-            ]
-        })
-        .collect();
-    print_table(
-        title,
-        &["workload", "IPC vs perf-focused", "SER reduction"],
-        &data,
-    );
-    let ipc_mean = geomean_or_one(&rows.iter().map(|r| r.ipc_rel).collect::<Vec<_>>());
-    let ser_mean = geomean_or_one(&rows.iter().map(|r| r.ser_reduction).collect::<Vec<_>>());
-    println!(
-        "\nmean: IPC loss {:.1}% (paper: {paper_ipc_loss}), SER reduction {} (paper: {paper_ser})",
-        (1.0 - ipc_mean) * 100.0,
-        fmt_x(ser_mean),
-    );
-}
-
-/// Prints a markdown table: header row plus aligned data rows.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n### {title}\n");
-    println!("| {} |", header.join(" | "));
-    println!(
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+/// Appends a markdown table to `out`: title, header row and data rows.
+pub fn print_table(out: &mut String, title: &str, header: &[&str], rows: &[Vec<String>]) {
+    let _ = write!(
+        out,
+        "\n### {title}\n\n| {} |\n|{}|\n",
+        header.join(" | "),
+        vec!["---"; header.len()].join("|")
     );
     for row in rows {
-        println!("| {} |", row.join(" | "));
+        let _ = writeln!(out, "| {} |", row.join(" | "));
     }
 }
 
@@ -541,6 +460,28 @@ mod tests {
         if std::env::var(ENV_WORKLOADS).is_err() {
             assert_eq!(workloads().len(), 14);
         }
+    }
+
+    #[test]
+    fn workload_lists_parse_or_name_the_bad_token() {
+        let names = |list: &str| {
+            parse_workloads(list).map(|wls| wls.iter().map(|w| w.name()).collect::<Vec<_>>())
+        };
+        assert_eq!(names(" lbm, mcf ").unwrap(), ["lbm", "mcf"]);
+        let err = names("lbm,mfc").unwrap_err();
+        assert!(err.contains("`mfc`") && err.contains("mcf"), "{err}");
+        assert!(names("lmb").unwrap_err().contains("`lmb`"));
+        assert!(names("").unwrap_err().contains("unknown workload ``"));
+        assert!(names("lbm,").unwrap_err().contains("unknown workload ``"));
+    }
+
+    #[test]
+    fn instruction_budgets_parse_or_name_the_bad_token() {
+        assert_eq!(parse_insts("60000"), Ok(60_000));
+        assert_eq!(parse_insts("5"), Ok(10_000));
+        let err = parse_insts("60k").unwrap_err();
+        assert!(err.contains("`60k`"), "{err}");
+        assert!(parse_insts("").is_err());
     }
 
     #[test]

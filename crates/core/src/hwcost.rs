@@ -70,13 +70,17 @@ mod tests {
     fn fc_costs_match_section_6_3() {
         // 4.25M pages x 16 bits = 8.5 MB total, 4.25 MB extra.
         assert_eq!(reliability_fc_bytes(), 8_912_896);
+        assert_eq!(human_bytes(perf_fc_bytes()), "4.25 MB");
         assert_eq!(human_bytes(reliability_fc_bytes()), "8.50 MB");
         assert_eq!(human_bytes(reliability_fc_extra_bytes()), "4.25 MB");
     }
 
     #[test]
     fn cc_costs_match_section_6_4() {
+        // 512 KB + 100 KB + 64 KB = 676 KB.
         assert_eq!(human_bytes(cc_risk_counter_bytes()), "512 KB");
+        assert_eq!(human_bytes(mea_bytes()), "100 KB");
+        assert_eq!(human_bytes(remap_cache_bytes()), "64 KB");
         assert_eq!(human_bytes(cross_counter_total_bytes()), "676 KB");
     }
 
