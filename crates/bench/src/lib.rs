@@ -62,18 +62,34 @@ pub const ENV_STATS: &str = "RAMP_STATS";
 /// available cores.
 pub fn threads() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "-j" || a == "--threads" {
-            if let Some(n) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(rest) = a.strip_prefix("-j") {
-            if let Ok(n) = rest.parse::<usize>() {
-                return n.max(1);
-            }
+    match parse_threads(&args) {
+        Ok(Some(n)) => n,
+        Ok(None) => ramp_sim::exec::default_threads(),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2)
         }
     }
-    ramp_sim::exec::default_threads()
+}
+
+/// The thread count `args` ask for with `-j N`, `-jN` or `--threads N`,
+/// if any; a value that is missing or not a count names the bad token.
+fn parse_threads(args: &[String]) -> Result<Option<usize>, String> {
+    let count = |flag: &str, value: Option<&String>| match value {
+        Some(v) => v
+            .parse::<usize>()
+            .map(|n| Some(n.max(1)))
+            .map_err(|_| format!("{flag}: `{v}` is not a thread count")),
+        None => Err(format!("{flag} needs a thread count")),
+    };
+    for (i, a) in args.iter().enumerate() {
+        if a == "-j" || a == "--threads" {
+            return count(a, args.get(i + 1));
+        } else if let Some(rest) = a.strip_prefix("-j") {
+            return count("-j", Some(&rest.to_string()));
+        }
+    }
+    Ok(None)
 }
 
 /// The experiment configuration: Table 1 scaled, with the `RAMP_INSTS`
@@ -158,8 +174,9 @@ pub struct Harness {
     memo: Memo,
     /// Telemetry labels of the typed runs obtained so far, by store key.
     labels: BTreeMap<String, String>,
-    /// How many jobs each tier answered so far, plus `failed` and
-    /// `profile_sims` (volatile: table mode only).
+    /// How many jobs each tier answered so far, plus `failed`,
+    /// `profile_sims` and the runs that recorded, replayed or fell back
+    /// from event streams (volatile: table mode only).
     tiers: BTreeMap<&'static str, u64>,
 }
 
@@ -188,6 +205,9 @@ impl Harness {
                 "resumed",
                 "failed",
                 "profile_sims",
+                "streams_recorded",
+                "streams_replayed",
+                "streams_fallback",
             ]
             .map(|tier| (tier, 0))
             .into(),
@@ -228,6 +248,10 @@ impl Harness {
         });
         let mut simulated = resolution.profile_sims;
         *self.tiers.entry("profile_sims").or_default() += resolution.profile_sims;
+        let streams = resolution.streams;
+        *self.tiers.entry("streams_recorded").or_default() += streams.recorded;
+        *self.tiers.entry("streams_replayed").or_default() += streams.replayed;
+        *self.tiers.entry("streams_fallback").or_default() += streams.fallback;
         let keys = jobs
             .iter()
             .zip(resolution.jobs)
@@ -366,7 +390,9 @@ fn telemetry_label(spec: &RunSpec) -> String {
 /// `tests/golden_stats.rs`); `table` emits human-readable tables plus
 /// the volatile process stats: executor counters, how many jobs each
 /// tier answered (`[resolve]` section: `memo`, `store`, `simulated`,
-/// `resumed`, `failed`, `profile_sims`) and, when a store is configured,
+/// `resumed`, `failed`, `profile_sims`, and `streams_recorded`,
+/// `streams_replayed`, `streams_fallback`: runs fed from event streams)
+/// and, when a store is configured,
 /// its hit/miss/write counters (`[store]` section). Call this as the
 /// last line of an experiment binary's `main`.
 pub fn finish(h: &Harness) {
@@ -454,6 +480,27 @@ pub fn geomean_or_one(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_flags_parse_or_name_the_bad_token() {
+        let parse = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            parse_threads(&args)
+        };
+        assert_eq!(parse(&["bin"]), Ok(None));
+        assert_eq!(parse(&["bin", "-j", "3"]), Ok(Some(3)));
+        assert_eq!(parse(&["bin", "-j4"]), Ok(Some(4)));
+        assert_eq!(parse(&["bin", "--threads", "0"]), Ok(Some(1)));
+        for (args, token) in [
+            (&["bin", "-j", "abc"][..], "`abc`"),
+            (&["bin", "-jx2"][..], "`x2`"),
+            (&["bin", "--threads", "-1"][..], "`-1`"),
+            (&["bin", "--threads"][..], "--threads needs"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(token), "{err}");
+        }
+    }
 
     #[test]
     fn default_workload_list_is_fourteen() {

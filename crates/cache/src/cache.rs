@@ -159,6 +159,18 @@ impl SetAssocCache {
         LineAddr((tag << self.set_shift) | set as u64)
     }
 
+    /// Counts one access decided elsewhere (a replayed stream's): a hit,
+    /// or a miss that did or did not evict a dirty line. Ways and LRU
+    /// state are left alone.
+    pub fn count(&mut self, hit: bool, dirty_victim: bool) {
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+            self.stats.dirty_evictions += u64::from(dirty_victim);
+        }
+    }
+
     /// Checks for presence without updating LRU or statistics.
     pub fn probe(&self, line: LineAddr) -> bool {
         let (set, tag) = self.index(line);

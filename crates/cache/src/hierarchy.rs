@@ -13,6 +13,7 @@
 use ramp_sim::units::{AccessKind, LineAddr};
 
 use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
+use crate::stream::L1Outcome;
 use ramp_trace::MemEvent;
 
 /// Configuration of the whole hierarchy (Table 1, scaled — see DESIGN.md).
@@ -85,7 +86,9 @@ impl Hierarchy {
     }
 
     /// Performs one CPU access for `core`, appending any main-memory
-    /// events (fills and writebacks) to `mem_out`.
+    /// events (fills and writebacks) to `mem_out`: the L1 half
+    /// ([`Hierarchy::l1_access`]) then the L2 half
+    /// ([`Hierarchy::l2_access`]).
     ///
     /// Returns `true` if the access hit in L1 (used by the core model for
     /// zero-latency hits).
@@ -100,24 +103,55 @@ impl Hierarchy {
         kind: AccessKind,
         mem_out: &mut Vec<MemEvent>,
     ) -> bool {
+        let outcome = self.l1_access(core, line, kind);
+        self.l2_access(core, &outcome, mem_out);
+        outcome == L1Outcome::Hit
+    }
+
+    /// The private half of an access: `core`'s L1 alone. Its outcome is
+    /// all the shared half needs, and depends on nothing but the core's
+    /// own accesses.
+    #[inline]
+    pub fn l1_access(&mut self, core: usize, line: LineAddr, kind: AccessKind) -> L1Outcome {
         let write = kind.is_write();
-        let l1 = &mut self.l1[core];
-        let r1 = l1.access(line, write);
+        let r1 = self.l1[core].access(line, write);
         if r1.hit {
-            return true;
+            return L1Outcome::Hit;
         }
+        let victim = match r1.victim {
+            Some((vline, true)) => Some(vline),
+            _ => None,
+        };
+        L1Outcome::Miss {
+            line,
+            write,
+            victim,
+        }
+    }
+
+    /// The shared half of an access whose L1 outcome is known: an L1
+    /// victim writeback into L2, then, for a read miss, the L2 lookup.
+    /// A hit does nothing.
+    #[inline]
+    pub fn l2_access(&mut self, core: usize, outcome: &L1Outcome, mem_out: &mut Vec<MemEvent>) {
+        let L1Outcome::Miss {
+            line,
+            write,
+            victim,
+        } = *outcome
+        else {
+            return;
+        };
         // L1 victim writeback into L2 (write-validate: no fill on miss).
-        if let Some((vline, true)) = r1.victim {
+        if let Some(vline) = victim {
             let r2 = self.l2.access(vline, true);
             if let Some((l2v, true)) = r2.victim {
                 mem_out.push(MemEvent::write(l2v, core));
             }
         }
-        // Satisfy the L1 miss.
-        if write {
-            // Write-validate: L1 already allocated the line dirty; no fill.
-            false
-        } else {
+        // Satisfy the L1 miss. A write miss is done: write-validate
+        // already allocated the line dirty in L1, with no fill.
+        if !write {
             let r2 = self.l2.access(line, false);
             if !r2.hit {
                 mem_out.push(MemEvent::read(line, core));
@@ -125,7 +159,17 @@ impl Hierarchy {
                     mem_out.push(MemEvent::write(l2v, core));
                 }
             }
-            false
+        }
+    }
+
+    /// Counts a replayed L1 outcome in `core`'s L1 statistics, so its
+    /// telemetry equals the live run's although the L1 itself stays
+    /// empty.
+    #[inline]
+    pub fn count_l1(&mut self, core: usize, outcome: &L1Outcome) {
+        match outcome {
+            L1Outcome::Hit => self.l1[core].count(true, false),
+            L1Outcome::Miss { victim, .. } => self.l1[core].count(false, victim.is_some()),
         }
     }
 

@@ -5,7 +5,8 @@
 //! filter. It provides a single set-associative write-back cache
 //! ([`SetAssocCache`]) and a 16-core private-L1 / shared-L2 [`Hierarchy`]
 //! whose output stream of [`ramp_trace::MemEvent`]s feeds the DRAM
-//! controllers and the AVF tracker.
+//! controllers and the AVF tracker. [`stream`] records what each core's
+//! private L1 passes down, so later runs replay only the shared L2.
 //!
 //! # Example
 //!
@@ -24,6 +25,8 @@
 
 pub mod cache;
 pub mod hierarchy;
+pub mod stream;
 
 pub use cache::{AccessResult, CacheConfig, CacheStats, SetAssocCache};
 pub use hierarchy::{Hierarchy, HierarchyConfig};
+pub use stream::{L1Event, L1Outcome, StreamError, StreamReader, StreamWriter};

@@ -8,10 +8,22 @@
 //! 128-entry window); writes are posted. Cores stall when their MSHRs are
 //! exhausted or a controller queue refuses a request — that backpressure
 //! is where HBM's bandwidth advantage becomes IPC.
+//!
+//! Each core is fed live — its generator through its private L1 — or from
+//! a recorded post-L1 stream ([`ramp_cache::stream`]). A core's L1
+//! outcomes depend on nothing but its own records, so a replayed core
+//! drives the shared L2, the page map, DRAM and AVF exactly as the live
+//! core did, without generating or looking up anything in its L1. A live
+//! core can record its stream for later runs as it goes.
 
 use std::collections::{HashSet, VecDeque};
+use std::ops::Range;
 
 use ramp_avf::{AvfTracker, SerModel, StatsTable};
+use ramp_cache::stream::{
+    L1Event, L1Outcome, StreamError, StreamPos, StreamReader, StreamSink, StreamSource,
+    StreamWriter,
+};
 use ramp_cache::Hierarchy;
 use ramp_dram::{Completion, MemRequest, MemoryKind, MemorySystem};
 use ramp_sim::codec::{self, ByteReader, ByteWriter, CodecError};
@@ -30,9 +42,21 @@ const CHUNK: u64 = 128;
 /// Core id used for migration traffic (excluded from IPC/AVF accounting).
 const MIGRATION_CORE: usize = usize::MAX;
 
+/// Where a core's post-L1 events come from.
+#[derive(Debug)]
+enum Feed {
+    /// Its generator, through its private L1.
+    Live,
+    /// Live, and every event is also written to a stream.
+    Record(StreamWriter<Box<dyn StreamSink>>),
+    /// A recorded stream; the generator and the L1 stay idle.
+    Replay(StreamReader<Box<dyn StreamSource>>),
+}
+
 #[derive(Debug)]
 struct CoreState {
     gen: InstanceGen,
+    feed: Feed,
     cycle: u64,
     retired: u64,
     budget: u64,
@@ -100,8 +124,9 @@ impl RunResult {
 pub const CHECKPOINT_KIND: u8 = 3;
 /// Version of the checkpoint payload layout. Bump on any layout change so
 /// stale checkpoints are rejected instead of misread. Version 2 carries
-/// the AVF tracker in its compact encoding (`ramp_avf::tracker`).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// the AVF tracker in its compact encoding (`ramp_avf::tracker`); version
+/// 3 saves a replayed core's stream position in place of its generator.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Epoch-granular observation hooks for [`SystemSim::run_with_hooks`].
 ///
@@ -170,6 +195,8 @@ pub struct SystemSim {
     hbm_lat: (f64, u64),
     /// Demand-read latency accumulator for DDR: `(cycle sum, count)`.
     ddr_lat: (f64, u64),
+    /// The first replayed stream that failed to decode; it ends the run.
+    stream_error: Option<StreamError>,
 }
 
 /// Bins of the epoch-IPC histogram, spanning `[0, cores × issue width)`.
@@ -204,6 +231,7 @@ impl SystemSim {
             .into_iter()
             .map(|gen| CoreState {
                 gen,
+                feed: Feed::Live,
                 cycle: 0,
                 retired: 0,
                 budget: cfg.insts_per_core,
@@ -238,6 +266,7 @@ impl SystemSim {
             next_epoch: cfg.fc_interval_cycles,
             hbm_lat: (0.0, 0),
             ddr_lat: (0.0, 0),
+            stream_error: None,
             hierarchy: Hierarchy::new(cfg.hierarchy),
             hbm: MemorySystem::hbm(),
             ddr: MemorySystem::ddr3(),
@@ -258,6 +287,46 @@ impl SystemSim {
             cores,
             cfg,
         }
+    }
+
+    /// Number of cores.
+    pub fn cores(&self) -> usize {
+        self.cores.len()
+    }
+
+    /// The lines core `i`'s records span: every line of a stream
+    /// replayed on it must lie here.
+    pub fn core_lines(&self, i: usize) -> Range<u64> {
+        let gen = &self.cores[i].gen;
+        let lo = gen.base_page().index();
+        let hi = lo + gen.footprint_pages();
+        lo * LINES_PER_PAGE as u64..hi * LINES_PER_PAGE as u64
+    }
+
+    /// Feeds core `i` from a recorded stream of its events instead of its
+    /// generator and L1. The stream must be the one this core produces
+    /// live; call before running or restoring.
+    pub fn replay_core(&mut self, i: usize, reader: StreamReader<Box<dyn StreamSource>>) {
+        self.cores[i].feed = Feed::Replay(reader);
+    }
+
+    /// Records core `i`'s events into `writer` while it runs live; the
+    /// stream is committed when the core reaches its budget. A write
+    /// error drops the recording and the core runs on live. Call before
+    /// running or restoring.
+    pub fn record_core(&mut self, i: usize, writer: StreamWriter<Box<dyn StreamSink>>) {
+        self.cores[i].feed = Feed::Record(writer);
+    }
+
+    /// How many cores replay a stream and how many record one.
+    pub fn feeds(&self) -> (usize, usize) {
+        self.cores
+            .iter()
+            .fold((0, 0), |(replay, record), c| match c.feed {
+                Feed::Live => (replay, record),
+                Feed::Record(_) => (replay, record + 1),
+                Feed::Replay(_) => (replay + 1, record),
+            })
     }
 
     fn mem_of(&mut self, kind: MemoryKind) -> &mut MemorySystem {
@@ -350,6 +419,37 @@ impl SystemSim {
         true
     }
 
+    /// Core `i`'s next post-L1 event, from its stream or from its
+    /// generator and L1. `None` once a replayed stream failed: the error
+    /// is kept and ends the run.
+    #[inline]
+    fn next_event(&mut self, i: usize) -> Option<L1Event> {
+        let c = &mut self.cores[i];
+        if let Feed::Replay(r) = &mut c.feed {
+            return match r.next_event() {
+                Ok(ev) => {
+                    self.hierarchy.count_l1(i, &ev.outcome);
+                    Some(ev)
+                }
+                Err(e) => {
+                    self.stream_error.get_or_insert(e);
+                    None
+                }
+            };
+        }
+        let rec = c.gen.next().expect("trace streams are infinite");
+        let ev = L1Event {
+            insts: rec.instructions(),
+            outcome: self.hierarchy.l1_access(i, rec.addr.line(), rec.kind),
+        };
+        if let Feed::Record(w) = &mut c.feed {
+            if w.push(&ev).is_err() {
+                c.feed = Feed::Live;
+            }
+        }
+        Some(ev)
+    }
+
     /// Runs core `i` until the end of the chunk or a stall.
     fn run_core(&mut self, i: usize, chunk_end: u64, tmp: &mut Vec<MemEvent>) {
         // Per-record retire cost divides by the issue width; shipped
@@ -377,16 +477,22 @@ impl SystemSim {
                 if c.retired >= c.budget {
                     c.done = true;
                     c.finish = c.cycle;
+                    if let Feed::Record(w) = std::mem::replace(&mut c.feed, Feed::Live) {
+                        // A stream that fails to land is simply not there
+                        // for later runs; this run is unaffected.
+                        if let Ok(sink) = w.finish() {
+                            let _ = sink.commit();
+                        }
+                    }
                     return;
                 }
             }
-            let rec = self.cores[i]
-                .gen
-                .next()
-                .expect("trace streams are infinite");
+            let Some(ev) = self.next_event(i) else {
+                return;
+            };
             {
                 let c = &mut self.cores[i];
-                let insts = rec.instructions();
+                let insts = ev.insts;
                 c.retired += insts;
                 c.cycle += match iw_shift {
                     Some(s) => (insts + iw - 1) >> s,
@@ -394,8 +500,8 @@ impl SystemSim {
                 };
             }
             tmp.clear();
-            let hit = self.hierarchy.access(i, rec.addr.line(), rec.kind, tmp);
-            if !hit && !rec.kind.is_write() {
+            self.hierarchy.l2_access(i, &ev.outcome, tmp);
+            if let L1Outcome::Miss { write: false, .. } = ev.outcome {
                 self.cores[i].cycle += L2_HIT_LATENCY;
             }
             // Issue the miss events directly; only a stalled remainder
@@ -446,7 +552,18 @@ impl SystemSim {
         w.u64(self.ddr_lat.1);
         w.u32(self.cores.len() as u32);
         for c in &self.cores {
-            c.gen.save_state(&mut w);
+            match &c.feed {
+                Feed::Replay(r) => {
+                    let pos = r.position();
+                    w.u8(1);
+                    w.u64(pos.offset);
+                    w.u32(pos.records);
+                }
+                _ => {
+                    w.u8(0);
+                    c.gen.save_state(&mut w);
+                }
+            }
             w.u64(c.cycle);
             w.u64(c.retired);
             w.u64(c.budget);
@@ -530,7 +647,30 @@ impl SystemSim {
             return Err(CodecError::Malformed("core count mismatch"));
         }
         for c in &mut self.cores {
-            c.gen.restore_state(&mut r)?;
+            match (r.u8()?, &mut c.feed) {
+                // A live checkpoint resumes live: a replayed stream is
+                // set aside, and a recording that missed the run's start
+                // is dropped.
+                (0, feed) => {
+                    *feed = Feed::Live;
+                    c.gen.restore_state(&mut r)?;
+                }
+                (1, Feed::Replay(reader)) => {
+                    let pos = StreamPos {
+                        offset: r.u64()?,
+                        records: r.u32()?,
+                    };
+                    reader
+                        .seek(pos)
+                        .map_err(|_| CodecError::Malformed("checkpoint's stream position"))?;
+                }
+                (1, _) => {
+                    return Err(CodecError::Malformed(
+                        "replay checkpoint without its stream",
+                    ))
+                }
+                _ => return Err(CodecError::Malformed("bad core feed tag")),
+            }
             c.cycle = r.u64()?;
             c.retired = r.u64()?;
             c.budget = r.u64()?;
@@ -599,7 +739,25 @@ impl SystemSim {
     /// boundary (an epoch is one FC interval). A run resumed from a
     /// checkpoint via [`SystemSim::restore_state`] continues here and
     /// produces a byte-identical [`RunResult`].
-    pub fn run_with_hooks(mut self, mut hooks: RunHooks<'_>) -> RunResult {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a replayed stream fails to decode; a simulator without
+    /// replayed cores never does. [`SystemSim::try_run_with_hooks`]
+    /// returns that failure instead.
+    pub fn run_with_hooks(self, hooks: RunHooks<'_>) -> RunResult {
+        self.try_run_with_hooks(hooks)
+            .unwrap_or_else(|e| panic!("replayed stream failed: {e}"))
+    }
+
+    /// [`SystemSim::run_with_hooks`], ending early with the error of the
+    /// first replayed stream that fails to decode. The partial run is
+    /// lost; the caller runs it again live.
+    ///
+    /// # Errors
+    ///
+    /// The first [`StreamError`] of a replayed core.
+    pub fn try_run_with_hooks(mut self, mut hooks: RunHooks<'_>) -> Result<RunResult, StreamError> {
         let mut tmp = Vec::new();
 
         loop {
@@ -607,6 +765,9 @@ impl SystemSim {
             self.pump_backlog();
             for i in 0..self.cores.len() {
                 self.run_core(i, chunk_end, &mut tmp);
+            }
+            if let Some(e) = self.stream_error.take() {
+                return Err(e);
             }
             let mut completions = std::mem::take(&mut self.completions);
             completions.clear();
@@ -755,7 +916,7 @@ impl SystemSim {
         reg.gauge_set("avf", "ser_fit", ser_fit);
         reg.gauge_set("avf", "ser_ddr_only_fit", ser_ddr_only_fit);
 
-        RunResult {
+        Ok(RunResult {
             workload: self.workload_name,
             policy: self.policy_name,
             ipc: instructions as f64 / makespan as f64,
@@ -782,7 +943,7 @@ impl SystemSim {
             ),
             table,
             telemetry: reg.snapshot(),
-        }
+        })
     }
 }
 

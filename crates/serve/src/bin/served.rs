@@ -36,6 +36,22 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses the value of option or variable `name` as a count; an error
+/// names the bad token.
+fn parse_count<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{name}: `{value}` is not a number"))
+}
+
+/// The parsed value, or the error on stderr and exit status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
+}
+
 fn main() {
     let mut addr = "127.0.0.1:7177".to_string();
     let mut workers: Option<usize> = None;
@@ -55,10 +71,20 @@ fn main() {
         };
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
-            "--workers" => workers = value("--workers").parse().ok(),
-            "--queue" => queue = value("--queue").parse().ok(),
-            "--deadline-ms" => deadline_ms = value("--deadline-ms").parse().ok(),
-            "--http-threads" => http_threads = value("--http-threads").parse().ok(),
+            "--workers" => workers = Some(or_exit(parse_count("--workers", &value("--workers")))),
+            "--queue" => queue = Some(or_exit(parse_count("--queue", &value("--queue")))),
+            "--deadline-ms" => {
+                deadline_ms = Some(or_exit(parse_count(
+                    "--deadline-ms",
+                    &value("--deadline-ms"),
+                )))
+            }
+            "--http-threads" => {
+                http_threads = Some(or_exit(parse_count(
+                    "--http-threads",
+                    &value("--http-threads"),
+                )))
+            }
             "--port-file" => port_file = Some(value("--port-file")),
             "--smoke" => smoke = true,
             _ => usage(),
@@ -71,9 +97,8 @@ fn main() {
         ramp_core::config::SystemConfig::table1_scaled()
     };
     if let Ok(v) = std::env::var("RAMP_INSTS") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            sim.insts_per_core = n.max(10_000);
-        }
+        let n: u64 = or_exit(parse_count("RAMP_INSTS", v.trim()));
+        sim.insts_per_core = n.max(10_000);
     }
 
     let mut cfg = ServerConfig::new(sim);
@@ -107,4 +132,25 @@ fn main() {
     eprintln!("ramp-served listening on {bound}");
     server.run();
     eprintln!("ramp-served drained and exited");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_count;
+
+    #[test]
+    fn counts_parse_or_name_the_bad_token() {
+        assert_eq!(parse_count::<usize>("--workers", "4"), Ok(4));
+        assert_eq!(parse_count::<u64>("RAMP_INSTS", "20000"), Ok(20_000));
+        for (name, value) in [
+            ("--workers", "four"),
+            ("--queue", "-1"),
+            ("--deadline-ms", "1.5"),
+            ("--http-threads", ""),
+            ("RAMP_INSTS", "abc"),
+        ] {
+            let err = parse_count::<u64>(name, value).unwrap_err();
+            assert_eq!(err, format!("{name}: `{value}` is not a number"));
+        }
+    }
 }

@@ -23,9 +23,13 @@
 //! ```
 //!
 //! `stats` is read-only: one greppable line counting what the store
-//! holds (`[stats] dir=... runs=12 annotated=1 ... bytes=N`, where
-//! `bytes` sums the `.run` and `.ann` entries) — the sweep CI stage
-//! uses it to prove a warm re-sweep added and rewrote nothing.
+//! holds (`[stats] dir=... runs=12 annotated=1 ... bytes=N streams=N
+//! stream_bytes=N`, where `bytes` sums the `.run` and `.ann` entries
+//! and `streams` counts the per-core event streams, a cache) — the
+//! sweep CI stage uses it to prove a warm re-sweep added and rewrote
+//! nothing. `scrub` and `verify` read every block of every stream and
+//! report sound ones as `streams=N`; a damaged stream is an error for
+//! `verify` and is quarantined by `scrub`.
 //!
 //! `ckpt` lists the checkpoint segments interrupted runs left behind
 //! (one `[ckpt] key=... epoch=... bytes=...` line per segment plus a

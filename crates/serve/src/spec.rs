@@ -11,10 +11,17 @@
 //! [`Placement`]s of the runs that read it, which then simulate without
 //! its table.
 //! [`RunSpec::execute`] is a one-job `resolve`.
+//!
+//! With a store, every simulation is fed from its workload's post-L1
+//! event streams ([`stream_key`]): the first run of a stream key records
+//! them, and every later run of any action on that key replays them
+//! ([`RunStore::attach_streams`]). A stream that fails to open or to
+//! decode is quarantined and the run answered live; the counts go only
+//! to [`Resolution::streams`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ramp_avf::StatsTable;
 use ramp_core::annotate::AnnotationSet;
@@ -26,7 +33,7 @@ use ramp_core::system::{RunHooks, RunResult, SystemSim};
 use ramp_sim::exec::{parallel_map, try_parallel_map_metrics, ExecMetrics, TaskOptions};
 use ramp_trace::Workload;
 
-use crate::store::{run_key, RunKind, RunStore};
+use crate::store::{run_key, stream_key, Feeds, RunKind, RunStore};
 
 /// Policy label recorded for profile runs (a profile *is* a DDR-only run).
 pub const PROFILE_POLICY: &str = "ddr-only";
@@ -62,9 +69,10 @@ pub struct RunProgress {
     pub resumed: AtomicBool,
 }
 
-/// Runs `build()`'s simulator to completion with epoch-granular
-/// checkpointing into `store` under `key`, resuming from the newest
-/// restorable checkpoint when one exists.
+/// Runs `build()`'s simulator live to completion with epoch-granular
+/// checkpointing into `store` under `key` every `ckpt_every` epochs (0
+/// disables checkpointing), resuming from the newest restorable
+/// checkpoint when one exists.
 ///
 /// Torn or corrupt segments are filtered (and quarantined) by
 /// [`RunStore::load_latest_checkpoint`]; a segment that *frames*
@@ -73,21 +81,10 @@ pub struct RunProgress {
 /// case the run simply starts cold. On completion the run's checkpoint
 /// trail is removed. Returns the result and whether the run resumed.
 ///
-/// [`resolve`] runs every simulation through it, so any process that
-/// can reach the run store gets kill-and-resume for free.
-pub fn run_with_recovery(
-    build: impl Fn() -> SystemSim,
-    key: &str,
-    label: &str,
-    store: Option<&RunStore>,
-    progress: Option<&RunProgress>,
-) -> (RunResult, bool) {
-    run_with_recovery_every(build, key, label, store, progress, ckpt_epochs_from_env())
-}
-
-/// [`run_with_recovery`] with an explicit checkpoint interval instead of
-/// the environment knob (0 disables checkpointing). The recovery test
-/// suite uses this to exercise kill/resume without mutating process env.
+/// [`resolve`] runs every simulation through the same path, with the
+/// interval from [`ENV_CKPT_EPOCHS`] and its cores fed from the store's
+/// event streams, so any process that can reach the run store gets
+/// kill-and-resume for free.
 pub fn run_with_recovery_every(
     build: impl Fn() -> SystemSim,
     key: &str,
@@ -96,57 +93,139 @@ pub fn run_with_recovery_every(
     progress: Option<&RunProgress>,
     ckpt_every: u64,
 ) -> (RunResult, bool) {
-    let mut sim = build();
-    let mut resumed = false;
-    if ckpt_every > 0 {
-        if let Some(s) = store {
-            while let Some((epoch, bytes)) = s.load_latest_checkpoint(key) {
-                match sim.restore_state(&bytes) {
-                    Ok(()) => {
-                        if let Some(p) = progress {
-                            p.epochs_done.store(epoch, Ordering::Relaxed);
-                            p.ckpt_epoch.store(epoch, Ordering::Relaxed);
-                            p.resumed.store(true, Ordering::Relaxed);
-                        }
-                        // Stderr only: stdout of a resumed run must stay
-                        // byte-identical to an uninterrupted one.
-                        eprintln!("[ckpt] resumed {label} from epoch {epoch}");
-                        resumed = true;
-                        break;
-                    }
-                    Err(e) => {
-                        s.quarantine_checkpoint(key, epoch, &format!("{e:?}"));
-                        sim = build(); // restore may have partially mutated it
-                    }
-                }
-            }
-        }
+    let (run, resumed, _) = run_streamed(build, key, label, store, progress, ckpt_every, None);
+    (run, resumed)
+}
+
+/// How the simulations of one [`resolve`] call used the store's event
+/// streams. Volatile: cold and warm calls differ, so these counts go to
+/// progress reports only, never into a [`RunResult`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StreamCounts {
+    /// Runs that recorded every core's stream.
+    pub recorded: u64,
+    /// Runs that replayed every core's stream.
+    pub replayed: u64,
+    /// Streams found damaged — refused when opened, or failing to decode
+    /// mid-run — and quarantined; their runs went live.
+    pub fallback: u64,
+}
+
+impl std::ops::AddAssign for StreamCounts {
+    fn add_assign(&mut self, o: StreamCounts) {
+        self.recorded += o.recorded;
+        self.replayed += o.replayed;
+        self.fallback += o.fallback;
     }
-    let mut on_epoch = |epoch: u64| {
-        if let Some(p) = progress {
-            p.epochs_done.store(epoch, Ordering::Relaxed);
+}
+
+/// Builds a simulator and, given a store and a stream key, feeds its
+/// cores from the key's streams; the counts note a quarantined stream.
+fn build_fed(
+    build: &impl Fn() -> SystemSim,
+    store: Option<&RunStore>,
+    streams: Option<&str>,
+    counts: &mut StreamCounts,
+) -> (SystemSim, Option<Feeds>) {
+    let mut sim = build();
+    let feeds = match (store, streams) {
+        (Some(s), Some(skey)) => {
+            let (feeds, damaged) = s.attach_streams(&mut sim, skey);
+            counts.fallback += u64::from(damaged);
+            feeds
         }
+        _ => None,
     };
-    let mut on_checkpoint = |epoch: u64, blob: Vec<u8>| {
-        if let Some(s) = store {
-            if s.store_checkpoint(key, epoch, &blob) {
-                if let Some(p) = progress {
-                    p.ckpt_epoch.store(epoch, Ordering::Relaxed);
+    (sim, feeds)
+}
+
+/// [`run_with_recovery_every`], with every core fed from the streams
+/// stored under `streams` when a store and a key are given. A replayed
+/// stream that fails mid-run is quarantined with the run's checkpoint
+/// trail, and the run is simulated again live.
+fn run_streamed(
+    build: impl Fn() -> SystemSim,
+    key: &str,
+    label: &str,
+    store: Option<&RunStore>,
+    progress: Option<&RunProgress>,
+    ckpt_every: u64,
+    mut streams: Option<&str>,
+) -> (RunResult, bool, StreamCounts) {
+    let mut counts = StreamCounts::default();
+    loop {
+        let (mut sim, mut feeds) = build_fed(&build, store, streams, &mut counts);
+        let mut resumed = false;
+        if ckpt_every > 0 {
+            if let Some(s) = store {
+                while let Some((epoch, bytes)) = s.load_latest_checkpoint(key) {
+                    match sim.restore_state(&bytes) {
+                        Ok(()) => {
+                            if let Some(p) = progress {
+                                p.epochs_done.store(epoch, Ordering::Relaxed);
+                                p.ckpt_epoch.store(epoch, Ordering::Relaxed);
+                                p.resumed.store(true, Ordering::Relaxed);
+                            }
+                            // Stderr only: stdout of a resumed run must stay
+                            // byte-identical to an uninterrupted one.
+                            eprintln!("[ckpt] resumed {label} from epoch {epoch}");
+                            resumed = true;
+                            break;
+                        }
+                        Err(e) => {
+                            s.quarantine_checkpoint(key, epoch, &format!("{e:?}"));
+                            // Restore may have partially mutated it.
+                            (sim, feeds) = build_fed(&build, store, streams, &mut counts);
+                        }
+                    }
                 }
             }
         }
-    };
-    let run = sim.run_with_hooks(RunHooks {
-        checkpoint_every: if store.is_some() { ckpt_every } else { 0 },
-        on_epoch: Some(&mut on_epoch),
-        on_checkpoint: Some(&mut on_checkpoint),
-    });
-    if ckpt_every > 0 {
-        if let Some(s) = store {
+        let mut on_epoch = |epoch: u64| {
+            if let Some(p) = progress {
+                p.epochs_done.store(epoch, Ordering::Relaxed);
+            }
+        };
+        let mut on_checkpoint = |epoch: u64, blob: Vec<u8>| {
+            if let Some(s) = store {
+                if s.store_checkpoint(key, epoch, &blob) {
+                    if let Some(p) = progress {
+                        p.ckpt_epoch.store(epoch, Ordering::Relaxed);
+                    }
+                }
+            }
+        };
+        let cores = sim.cores();
+        // A restored live checkpoint leaves its cores live.
+        let (replaying, recording) = sim.feeds();
+        let outcome = sim.try_run_with_hooks(RunHooks {
+            checkpoint_every: if store.is_some() { ckpt_every } else { 0 },
+            on_epoch: Some(&mut on_epoch),
+            on_checkpoint: Some(&mut on_checkpoint),
+        });
+        if let (Some(s), true) = (store, ckpt_every > 0) {
             s.remove_checkpoints(key);
         }
+        match (outcome, store, streams) {
+            (Ok(run), _, _) => {
+                counts.replayed += u64::from(replaying == cores);
+                if let Some(Feeds::Recording(committed)) = feeds {
+                    let all = committed.load(Ordering::Relaxed) == cores as u64;
+                    counts.recorded += u64::from(recording == cores && all);
+                }
+                return (run, resumed, counts);
+            }
+            (Err(e), Some(s), Some(skey)) => {
+                // Only a replayed core fails, so the stream is at fault:
+                // set it aside and answer the run live.
+                eprintln!("[stream] {label}: {e}; simulating live");
+                s.quarantine_streams(skey, &e.to_string());
+                counts.fallback += 1;
+                streams = None;
+            }
+            (Err(e), _, _) => unreachable!("a run without streams failed to replay: {e}"),
+        }
     }
-    (run, resumed)
 }
 
 /// What to do with the workload.
@@ -313,6 +392,8 @@ pub struct Resolution<T> {
     pub jobs: Vec<Result<Resolved<T>, String>>,
     /// DDR-only profiles simulated only as dependencies of other jobs.
     pub profile_sims: u64,
+    /// How the call's simulations used the store's event streams.
+    pub streams: StreamCounts,
 }
 
 /// A hook called at the start of every simulation attempt.
@@ -391,14 +472,17 @@ fn placement((cfg, spec): Job<'_>, table: &StatsTable) -> Placement {
     }
 }
 
-/// Simulates one job from its placement through [`run_with_recovery`]
-/// and persists the result. Returns it with `(persisted, resumed)`.
+/// Simulates one job from its placement with checkpoint recovery, fed
+/// from its workload's event streams when there is a store, and persists
+/// the result. Returns it with `(persisted, resumed)`; the stream counts
+/// go to `streams`.
 fn simulate(
     how: &Resolver<'_>,
     (cfg, spec): Job<'_>,
     key: &str,
     progress: Option<&RunProgress>,
     placement: &Placement,
+    streams: &Mutex<StreamCounts>,
 ) -> (Finished, bool, bool) {
     if let Some(hook) = how.on_simulate {
         hook(cfg, spec);
@@ -412,7 +496,11 @@ fn simulate(
         runner::build_sim(cfg, wl, label.as_str(), placement, engine)
     };
     let name = format!("{}/{label}", wl.name());
-    let (run, resumed) = run_with_recovery(build, key, &name, how.store, progress);
+    let skey = stream_key(cfg, wl);
+    let every = ckpt_epochs_from_env();
+    let (run, resumed, counts) =
+        run_streamed(build, key, &name, how.store, progress, every, Some(&skey));
+    *streams.lock().expect("stream counts poisoned") += counts;
     let annotations = placement.annotations.clone();
     let persisted = match (how.store, &annotations) {
         (None, _) => true,
@@ -436,8 +524,9 @@ fn simulated(resumed: bool) -> Tier {
 /// Each job is answered by the first tier that has it:
 /// 1. the caller's `memo`, when given;
 /// 2. the store, with lookups fanned out over `how.threads`;
-/// 3. a simulation on the [`ramp_sim::exec`] pool through
-///    [`run_with_recovery`] (checkpoint/resume), persisted with
+/// 3. a simulation on the [`ramp_sim::exec`] pool with checkpoint/resume
+///    ([`run_with_recovery_every`]) and its workload's event streams
+///    recorded or replayed, persisted with
 ///    [`RunStore::store_run`] or [`RunStore::store_annotated`].
 ///
 /// Jobs that share a key simulate once. The rest run in two executor
@@ -537,6 +626,7 @@ where
 
     let scratch = ExecMetrics::new();
     let metrics = how.metrics.unwrap_or(&scratch);
+    let streams = Mutex::new(StreamCounts::default());
     let cached = memo.as_deref();
     let results = try_parallel_map_metrics(
         how.threads,
@@ -561,8 +651,14 @@ where
                 None => {
                     let progress = profile.group.and(how.progress);
                     let ddr_only = Placement::default();
-                    let (f, persisted, resumed) =
-                        simulate(how, profile.job, &profile.key, progress, &ddr_only);
+                    let (f, persisted, resumed) = simulate(
+                        how,
+                        profile.job,
+                        &profile.key,
+                        progress,
+                        &ddr_only,
+                        &streams,
+                    );
                     (Arc::new(f), Some((persisted, resumed)))
                 }
             };
@@ -624,7 +720,8 @@ where
         &how.opts,
         |_, &&(g, ref placement, _)| {
             let (job, key) = (jobs[groups[g][0]], &keys[groups[g][0]]);
-            let (f, persisted, resumed) = simulate(how, job, key, how.progress, placement);
+            let (f, persisted, resumed) =
+                simulate(how, job, key, how.progress, placement, &streams);
             let values: Vec<T> = groups[g].iter().map(|&i| finish(i, key, &f)).collect();
             (values, persisted, resumed, keep.then(|| Arc::new(f)))
         },
@@ -652,7 +749,11 @@ where
         .into_iter()
         .map(|r| r.expect("every job is answered"))
         .collect();
-    Resolution { jobs, profile_sims }
+    Resolution {
+        jobs,
+        profile_sims,
+        streams: streams.into_inner().expect("stream counts poisoned"),
+    }
 }
 
 #[cfg(test)]

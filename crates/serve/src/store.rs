@@ -36,6 +36,15 @@
 //! Both look only at the files directly inside the store directory:
 //! subdirectories are never read, counted or touched.
 //!
+//! Each workload's post-L1 event streams live here too, one
+//! `{key}-c{core:02}.stream` file per core under [`stream_key`]: the
+//! first run of the key records them ([`RunStore::attach_streams`]
+//! writes temp files and renames each into place when its core
+//! finishes), and every later run replays them. They are a cache, not
+//! results: not fsynced (block checksums catch a torn write), counted
+//! apart from entries, and a stream that fails to decode is
+//! quarantined so its run goes live. Scrub and verify read every block.
+//!
 //! Only DDR-only runs (profiles and `static:ddr-only`) keep their
 //! per-page [`StatsTable`](ramp_avf::StatsTable) rows on disk: those
 //! tables are what placement and migration warm starts read. Every
@@ -50,12 +59,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ramp_cache::stream::{self, StreamReader, StreamSink, StreamSource, StreamWriter};
 use ramp_core::annotate::AnnotationSet;
 use ramp_core::config::SystemConfig;
-use ramp_core::system::{RunResult, CHECKPOINT_KIND, CHECKPOINT_VERSION};
+use ramp_core::system::{RunResult, SystemSim, CHECKPOINT_KIND, CHECKPOINT_VERSION};
 use ramp_sim::chaos::{self, Chaos, FaultKind};
 use ramp_sim::codec::{decode_framed, fnv1a64_seeded, ByteWriter};
 use ramp_sim::telemetry::StatRegistry;
+use ramp_trace::Workload;
 
 use crate::spec::PROFILE_POLICY;
 use crate::wire::{self, WIRE_VERSION};
@@ -114,6 +125,13 @@ impl RunKind {
     }
 }
 
+/// 32 lowercase hex digits: two seeded FNV-1a passes over `bytes`.
+fn hex_key(bytes: &[u8]) -> String {
+    let a = fnv1a64_seeded(0xcbf2_9ce4_8422_2325, bytes);
+    let b = fnv1a64_seeded(a ^ 0x9e37_79b9_7f4a_7c15, bytes);
+    format!("{a:016x}{b:016x}")
+}
+
 /// Computes the content-addressed key of one run as 32 lowercase hex
 /// digits (two seeded FNV-1a passes over the canonical input encoding).
 pub fn run_key(cfg: &SystemConfig, kind: RunKind, workload: &str, policy: &str) -> String {
@@ -129,9 +147,90 @@ pub fn run_key(cfg: &SystemConfig, kind: RunKind, workload: &str, policy: &str) 
     tail.str(workload);
     tail.str(policy);
     bytes.extend_from_slice(tail.bytes());
-    let a = fnv1a64_seeded(0xcbf2_9ce4_8422_2325, &bytes);
-    let b = fnv1a64_seeded(a ^ 0x9e37_79b9_7f4a_7c15, &bytes);
-    format!("{a:016x}{b:016x}")
+    hex_key(&bytes)
+}
+
+/// The key of `workload`'s post-L1 event streams under `cfg`: a hash of
+/// exactly what a core's stream depends on — the workload, the seed, the
+/// instruction budget, the number of cores and the L1 geometry — plus
+/// the stream format version and [`STORE_SALT`]. Every action on the
+/// workload, at any placement, interval or issue width, shares it.
+pub fn stream_key(cfg: &SystemConfig, workload: &Workload) -> String {
+    let mut w = ByteWriter::new();
+    w.str("stream");
+    w.u32(stream::STREAM_VERSION);
+    w.u32(STORE_SALT);
+    w.str(workload.name());
+    w.u64(cfg.seed);
+    w.u64(cfg.insts_per_core);
+    w.u64(workload.assignments().len() as u64);
+    let l1 = cfg.hierarchy.l1;
+    w.u64(l1.size_bytes as u64);
+    w.u64(l1.assoc as u64);
+    w.u64(l1.line_bytes as u64);
+    hex_key(w.bytes())
+}
+
+/// The block identity of core `core`'s stream under `key`: every block
+/// carries it, so a file renamed onto another stream or core is refused.
+pub fn stream_ident(key: &str, core: usize) -> u64 {
+    fnv1a64_seeded(ramp_sim::codec::fnv1a64(key.as_bytes()), &[core as u8])
+}
+
+/// Parses a `<key>-c<core>.stream` file name.
+fn parse_stream_name(name: &str) -> Option<(&str, usize)> {
+    let stem = name.strip_suffix(".stream")?;
+    let (key, core) = stem.rsplit_once("-c")?;
+    Some((key, core.parse().ok()?))
+}
+
+/// How [`RunStore::attach_streams`] fed a simulator's cores.
+#[derive(Debug)]
+pub enum Feeds {
+    /// Every core replays its recorded stream.
+    Replaying,
+    /// Every core records its stream; the counter reaches the core count
+    /// once every stream is committed.
+    Recording(Arc<AtomicU64>),
+}
+
+/// A stream being recorded into a temp file of the store, renamed into
+/// place by [`StreamSink::commit`] and removed if dropped uncommitted.
+struct StreamFile {
+    file: fs::File,
+    tmp: PathBuf,
+    dest: PathBuf,
+    committed: Arc<AtomicU64>,
+    done: bool,
+}
+
+impl std::io::Write for StreamFile {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl StreamSink for StreamFile {
+    fn commit(mut self: Box<Self>) -> std::io::Result<()> {
+        // A cache, not a result: no fsync. A torn stream fails its block
+        // checksums and is quarantined when read.
+        fs::rename(&self.tmp, &self.dest)?;
+        self.done = true;
+        self.committed.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+impl Drop for StreamFile {
+    fn drop(&mut self) {
+        if !self.done {
+            let _ = fs::remove_file(&self.tmp);
+        }
+    }
 }
 
 /// Whether the store persists `run`'s per-page table rows: only for a
@@ -459,6 +558,80 @@ impl RunStore {
         removed
     }
 
+    fn stream_path(&self, key: &str, core: usize) -> PathBuf {
+        self.dir.join(format!("{key}-c{core:02}.stream"))
+    }
+
+    /// Feeds every core of `sim` from the streams stored under `key`
+    /// (see [`stream_key`]): replays them when each core's stream opens
+    /// cleanly, and otherwise records them as the run goes. A stream
+    /// set that exists but does not open — damaged, foreign, of another
+    /// version — is quarantined first; the second value says so. `None`
+    /// when recording cannot start either: the run then goes live.
+    pub fn attach_streams(&self, sim: &mut SystemSim, key: &str) -> (Option<Feeds>, bool) {
+        let cores = sim.cores();
+        let mut readers = Vec::with_capacity(cores);
+        let mut damaged = None;
+        for core in 0..cores {
+            let Ok(file) = fs::File::open(self.stream_path(key, core)) else {
+                break;
+            };
+            let src: Box<dyn StreamSource> = Box::new(file);
+            match StreamReader::open(src, stream_ident(key, core), sim.core_lines(core)) {
+                Ok(reader) => readers.push(reader),
+                Err(e) => {
+                    damaged = Some(format!("core {core}: {e}"));
+                    break;
+                }
+            }
+        }
+        if readers.len() == cores {
+            for (core, reader) in readers.into_iter().enumerate() {
+                sim.replay_core(core, reader);
+            }
+            return (Some(Feeds::Replaying), false);
+        }
+        drop(readers);
+        if let Some(why) = &damaged {
+            self.quarantine_streams(key, why);
+        }
+        let committed = Arc::new(AtomicU64::new(0));
+        let mut writers = Vec::with_capacity(cores);
+        for core in 0..cores {
+            let n = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
+            let tmp = self.dir.join(format!("tmp-{}-{n}", std::process::id()));
+            let Ok(file) = fs::File::create(&tmp) else {
+                return (None, damaged.is_some());
+            };
+            let sink: Box<dyn StreamSink> = Box::new(StreamFile {
+                file,
+                tmp,
+                dest: self.stream_path(key, core),
+                committed: Arc::clone(&committed),
+                done: false,
+            });
+            writers.push(StreamWriter::new(sink, stream_ident(key, core)));
+        }
+        for (core, writer) in writers.into_iter().enumerate() {
+            sim.record_core(core, writer);
+        }
+        (Some(Feeds::Recording(committed)), damaged.is_some())
+    }
+
+    /// Quarantines every core stream stored under `key`: one that failed
+    /// to open or to decode mid-run. The next run records them afresh.
+    pub fn quarantine_streams(&self, key: &str, why: &str) {
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return;
+        };
+        for path in entries.flatten().map(|e| e.path()) {
+            let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+            if name.as_deref().and_then(parse_stream_name).map(|(k, _)| k) == Some(key) {
+                self.quarantine(&path, why);
+            }
+        }
+    }
+
     /// Walks the whole store, removing stale temp files, quarantining
     /// every entry that no longer decodes, and reclaiming **orphaned
     /// checkpoint trails** — `{key}-e*.ckpt` segments whose base run
@@ -545,6 +718,14 @@ impl RunStore {
                         report.quarantined += 1;
                     }
                 }
+            } else if let Some((key, core)) = parse_stream_name(&name) {
+                match check_stream_file(&path, key, core) {
+                    Ok(()) => report.streams += 1,
+                    Err(why) => {
+                        self.quarantine(&path, &why);
+                        report.quarantined += 1;
+                    }
+                }
             } else {
                 report.unknown += 1;
             }
@@ -598,6 +779,12 @@ impl RunStore {
                             .map(|_| ())
                             .map_err(|e| format!("{e:?}"))
                     })
+            } else if let Some((key, core)) = parse_stream_name(&name) {
+                match check_stream_file(&path, key, core) {
+                    Ok(()) => report.streams += 1,
+                    Err(why) => report.errors.push(format!("{name}: {why}")),
+                }
+                continue;
             } else {
                 continue; // temp/quarantine/foreign files are scrub's business
             };
@@ -635,6 +822,9 @@ impl RunStore {
                 stats.bytes += size();
             } else if name.ends_with(".ckpt") {
                 stats.checkpoints += 1;
+            } else if parse_stream_name(&name).is_some() {
+                stats.streams += 1;
+                stats.stream_bytes += size();
             } else if name.ends_with(".quarantine") {
                 stats.quarantined += 1;
             }
@@ -694,6 +884,15 @@ fn file_equals(path: &Path, bytes: &[u8]) -> bool {
     }
 }
 
+/// Reads every block of the stream file at `path`, stored as core
+/// `core` of stream `key`: its first defect, if any.
+fn check_stream_file(path: &Path, key: &str, core: usize) -> Result<(), String> {
+    let file = fs::File::open(path).map_err(|e| format!("read failed: {e}"))?;
+    stream::check_stream(std::io::BufReader::new(file), stream_ident(key, core))
+        .map(|_| ())
+        .map_err(|e| e.to_string())
+}
+
 /// Parses a `<key>-e<epoch>.ckpt` checkpoint file name.
 fn parse_checkpoint_name(name: &str) -> Option<(&str, u64)> {
     let stem = name.strip_suffix(".ckpt")?;
@@ -719,20 +918,24 @@ pub struct ScrubReport {
     /// Orphaned checkpoint segments removed (trails whose base run
     /// entry is missing or quarantined).
     pub orphaned: u64,
+    /// Sound core event streams (`.stream` files): a cache that may be
+    /// deleted at will, costing only their re-recording.
+    pub streams: u64,
 }
 
 impl std::fmt::Display for ScrubReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "scanned={} valid={} quarantined={} already={} tmp={} unknown={} orphaned={}",
+            "scanned={} valid={} quarantined={} already={} tmp={} unknown={} orphaned={} streams={}",
             self.scanned,
             self.valid,
             self.quarantined,
             self.already_quarantined,
             self.tmp_removed,
             self.unknown,
-            self.orphaned
+            self.orphaned,
+            self.streams
         )
     }
 }
@@ -761,13 +964,17 @@ pub struct StoreStats {
     pub writes: u64,
     /// Summed size in bytes of the `.run` and `.ann` entries.
     pub bytes: u64,
+    /// Core event streams (`.stream` files, a droppable cache).
+    pub streams: u64,
+    /// Summed size in bytes of the `.stream` files.
+    pub stream_bytes: u64,
 }
 
 impl std::fmt::Display for StoreStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "runs={} annotated={} checkpoints={} quarantined={} hits={} misses={} writes={} bytes={}",
+            "runs={} annotated={} checkpoints={} quarantined={} hits={} misses={} writes={} bytes={} streams={} stream_bytes={}",
             self.runs,
             self.annotated,
             self.checkpoints,
@@ -775,7 +982,9 @@ impl std::fmt::Display for StoreStats {
             self.hits,
             self.misses,
             self.writes,
-            self.bytes
+            self.bytes,
+            self.streams,
+            self.stream_bytes
         )
     }
 }
@@ -789,6 +998,9 @@ pub struct VerifyReport {
     pub valid: u64,
     /// Every defect, one human-readable line each. Empty == clean.
     pub errors: Vec<String>,
+    /// Sound core event streams, every block checked (not counted in
+    /// `entries`: streams are a cache).
+    pub streams: u64,
 }
 
 impl VerifyReport {
@@ -802,10 +1014,11 @@ impl std::fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "entries={} valid={} errors={}",
+            "entries={} valid={} errors={} streams={}",
             self.entries,
             self.valid,
-            self.errors.len()
+            self.errors.len(),
+            self.streams
         )
     }
 }
@@ -1067,7 +1280,7 @@ mod tests {
         assert_eq!(again.already_quarantined, 2);
         assert_eq!(
             report.to_string(),
-            "scanned=4 valid=1 quarantined=1 already=0 tmp=1 unknown=1 orphaned=0"
+            "scanned=4 valid=1 quarantined=1 already=0 tmp=1 unknown=1 orphaned=0 streams=0"
         );
     }
 
@@ -1205,6 +1418,96 @@ mod tests {
         assert_eq!(store.load_latest_checkpoint(&key).unwrap().0, 1);
     }
 
+    /// Writes a small stream for `core` of `key` the way a run does.
+    fn write_stream(store: &RunStore, key: &str, core: usize, as_core: usize) -> Vec<u8> {
+        let mut w = StreamWriter::new(Vec::new(), stream_ident(key, as_core));
+        for i in 0..5_000u64 {
+            let outcome = match i % 3 {
+                0 => stream::L1Outcome::Hit,
+                _ => stream::L1Outcome::Miss {
+                    line: ramp_sim::units::LineAddr(64 + i),
+                    write: i % 2 == 0,
+                    victim: None,
+                },
+            };
+            w.push(&stream::L1Event { insts: 4, outcome }).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        fs::write(store.stream_path(key, core), &bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn scrub_and_verify_read_every_stream_block() {
+        let store = test_store();
+        let key = stream_key(&SystemConfig::smoke_test(), &ramp_trace::Workload::all()[0]);
+        let good = write_stream(&store, &key, 0, 0).len() + write_stream(&store, &key, 1, 1).len();
+        // A damaged block, and a sound stream renamed onto another core.
+        let bytes = write_stream(&store, &key, 2, 2);
+        let mut bad = bytes.clone();
+        bad[bytes.len() / 2] ^= 0x10;
+        fs::write(store.stream_path(&key, 2), &bad).unwrap();
+        write_stream(&store, &key, 3, 0);
+
+        let verify = store.verify();
+        assert_eq!((verify.entries, verify.streams), (0, 2));
+        assert_eq!(verify.errors.len(), 2, "{:?}", verify.errors);
+        let stats = store.stats();
+        assert_eq!(stats.streams, 4);
+        assert_eq!((stats.bytes, stats.runs), (0, 0));
+        let report = store.scrub();
+        assert_eq!(
+            (report.streams, report.quarantined, report.unknown),
+            (2, 2, 0)
+        );
+        assert!(!store.stream_path(&key, 2).exists());
+        assert!(!store.stream_path(&key, 3).exists());
+        let stats = store.stats();
+        assert_eq!((stats.streams, stats.stream_bytes), (2, good as u64));
+        assert!(store.verify().ok());
+    }
+
+    #[test]
+    fn streams_record_once_then_replay_and_damage_is_quarantined() {
+        let cfg = SystemConfig {
+            insts_per_core: 20_000,
+            ..SystemConfig::smoke_test()
+        };
+        let wl = ramp_trace::Workload::Homogeneous(ramp_trace::Benchmark::Lbm);
+        let key = stream_key(&cfg, &wl);
+        let store = test_store();
+        let build = || ramp_core::runner::build_profile_sim(&cfg, &wl);
+
+        let mut sim = build();
+        let Some(Feeds::Recording(committed)) = store.attach_streams(&mut sim, &key).0 else {
+            panic!("an empty store records");
+        };
+        let live = sim.run();
+        assert_eq!(committed.load(Ordering::Relaxed), 16);
+        assert_eq!(store.stats().streams, 16);
+
+        let mut sim = build();
+        let (feeds, damaged) = store.attach_streams(&mut sim, &key);
+        assert!(matches!(feeds, Some(Feeds::Replaying)) && !damaged);
+        assert_eq!(sim.feeds(), (16, 0));
+        let replayed = sim.run();
+        assert_eq!(wire::encode_run(&replayed), wire::encode_run(&live));
+
+        // A stream whose first block is damaged is quarantined with its
+        // set, and the run records the set afresh.
+        let first = fs::read(store.stream_path(&key, 0)).unwrap();
+        let path = store.stream_path(&key, 5);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..40]).unwrap();
+        let mut sim = build();
+        let (feeds, damaged) = store.attach_streams(&mut sim, &key);
+        assert!(matches!(feeds, Some(Feeds::Recording(_))) && damaged);
+        assert_eq!(store.stats().quarantined, 16);
+        sim.run();
+        assert_eq!(fs::read(store.stream_path(&key, 0)).unwrap(), first);
+        assert_eq!(store.stats().streams, 16);
+    }
+
     #[test]
     fn scrub_reclaims_orphaned_checkpoint_trails() {
         let store = test_store();
@@ -1308,7 +1611,7 @@ mod tests {
         );
         assert_eq!(
             store.scrub().to_string(),
-            "scanned=2 valid=2 quarantined=0 already=0 tmp=0 unknown=0 orphaned=0"
+            "scanned=2 valid=2 quarantined=0 already=0 tmp=0 unknown=0 orphaned=0 streams=0"
         );
         let verify = store.verify();
         assert!(verify.ok(), "{verify}: {:?}", verify.errors);

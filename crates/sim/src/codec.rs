@@ -193,8 +193,8 @@ pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
 }
 
 /// Frame header bytes ahead of the payload: magic, version, kind and
-/// payload length.
-const HEADER_LEN: usize = MAGIC.len() + 4 + 1 + 8;
+/// payload length (the length is the header's last 8 bytes).
+pub const HEADER_LEN: usize = MAGIC.len() + 4 + 1 + 8;
 
 /// An append-only little-endian byte buffer.
 #[derive(Clone, Debug, Default)]
@@ -408,6 +408,24 @@ pub fn encode_framed(kind: u8, version: u32, payload: &[u8]) -> Vec<u8> {
     w.finish_frame()
 }
 
+/// Frames in place a payload written into `buf` after [`HEADER_LEN`]
+/// reserved bytes: fills in the header and appends the checksum. The
+/// result equals [`encode_framed`] of the same payload, with no second
+/// buffer, so a writer can reuse one buffer for frame after frame.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than [`HEADER_LEN`].
+pub fn seal_frame(buf: &mut Vec<u8>, kind: u8, version: u32) {
+    let payload_len = (buf.len() - HEADER_LEN) as u64;
+    buf[..MAGIC.len()].copy_from_slice(&MAGIC);
+    buf[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&version.to_le_bytes());
+    buf[MAGIC.len() + 4] = kind;
+    buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let checksum = xxh64(&buf[HEADER_LEN..]);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+}
+
 /// Validates a framed container and returns its payload slice.
 ///
 /// Checks, in order: magic, format version, payload kind, payload length
@@ -451,6 +469,16 @@ pub fn decode_framed(bytes: &[u8], kind: u8, version: u32) -> Result<&[u8], Code
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sealed_frames_equal_encoded_ones() {
+        for payload in [&b""[..], b"x", &[7u8; 300][..]] {
+            let mut buf = vec![0xaa; HEADER_LEN];
+            buf.extend_from_slice(payload);
+            seal_frame(&mut buf, 4, 9);
+            assert_eq!(buf, encode_framed(4, 9, payload));
+        }
+    }
 
     #[test]
     fn primitives_round_trip() {

@@ -366,6 +366,49 @@ ckpt_kill_resume fig05_perf_static ''
 # meet a real kill.
 ckpt_kill_resume fig12_perf_mig '[a-z0-9]+/perf-fc ' fig02_avf
 
+# Stream-smoke: the first run of a workload records each core's post-L1
+# event stream into the store, and every later run replays it. A cold
+# run records; with its results deleted and its streams kept, a rerun
+# replays them. Both stdouts must equal a storeless run's, and the
+# store must verify with its streams counted.
+stream_smoke() {
+    local dir="$STORE_DIR/stream"
+    echo "==> stream-smoke: record, replay without the results, cmp-equal to RAMP_STORE=off"
+    env "${WARM_ENV[@]}" RAMP_STORE=off RAMP_STATS=json target/release/fig05_perf_static \
+        > "$dir-off.out" 2>/dev/null
+    env "${WARM_ENV[@]}" RAMP_STORE_DIR="$dir" RAMP_STATS=json target/release/fig05_perf_static \
+        > "$dir-cold.out" 2>/dev/null
+    cmp "$dir-off.out" "$dir-cold.out" \
+        || { echo "FAIL: recording run stdout differs from RAMP_STORE=off"; exit 1; }
+    ls "$dir"/*.stream > /dev/null 2>&1 \
+        || { echo "FAIL: the cold run recorded no streams"; exit 1; }
+    rm -f "$dir"/*.run
+    env "${WARM_ENV[@]}" RAMP_STORE_DIR="$dir" RAMP_STATS=json target/release/fig05_perf_static \
+        > "$dir-replay.out" 2>/dev/null
+    cmp "$dir-off.out" "$dir-replay.out" \
+        || { echo "FAIL: replaying run stdout differs from RAMP_STORE=off"; exit 1; }
+    rm -f "$dir"/*.run
+    env "${WARM_ENV[@]}" RAMP_STORE_DIR="$dir" RAMP_STATS=table target/release/fig05_perf_static \
+        > "$dir-replay.table" 2>/dev/null
+    [ "$(tier streams_replayed < "$dir-replay.table")" -gt 0 ] \
+        || { echo "FAIL: the rerun replayed no streams"; exit 1; }
+    for name in streams_recorded streams_fallback; do
+        [ "$(tier $name < "$dir-replay.table")" = 0 ] \
+            || { echo "FAIL: the replaying rerun reported $name > 0"; exit 1; }
+    done
+    target/release/ramp-store verify --dir "$dir" > "$dir-verify.out" \
+        || { echo "FAIL: ramp-store verify found a damaged entry or stream"; exit 1; }
+    grep -qE ' streams=[1-9]' "$dir-verify.out" \
+        || { echo "FAIL: ramp-store verify counted no streams"; exit 1; }
+}
+stream_smoke
+# Once more with the streams present: fig02_avf's profiles record every
+# stream first, so the kill lands in a replayed migration run and the
+# resume restores a stream position.
+ckpt_kill_resume fig15_cc '[a-z0-9]+/[a-z-]+ ' fig02_avf
+ls "$STORE_DIR/ckpt-fig15_cc"/*.stream > /dev/null 2>&1 \
+    || { echo "FAIL: fig15_cc's kill did not land among recorded streams"; exit 1; }
+
 echo "==> chaos-smoke: server choreography under injected resets (seed 7)"
 PORT_FILE2="$STORE_DIR/chaos-port"
 RAMP_STORE_DIR="$STORE_DIR/chaos-server-store" RAMP_CHAOS="7:net=0.05,slow=2ms" \

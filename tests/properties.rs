@@ -965,3 +965,126 @@ fn hostile_sweep_specs_parse_cleanly_within_input_sized_allocations() {
         assert_spec_parses_cleanly(&String::from_utf8_lossy(&bytes));
     });
 }
+
+/// Core event streams under hostile bytes. A real profile run records
+/// its 16 streams into a scratch store; each case takes one core's
+/// stream and (1) overwrites bytes, cuts or extends it, (2) mutates one
+/// block's payload and re-frames it so it passes the checksum, or (3)
+/// writes a run of `0xff` varint bytes into one block's records,
+/// re-framed. The hostile stream is then decoded alone — `Ok` records or
+/// a typed `StreamError`, with no allocation past one block frame — and
+/// replayed with the other 15 in a simulator: the run ends or fails
+/// with a typed error, and (1)'s checksum-protected damage never
+/// changes a finished run. Half of (1)'s cases also go through the
+/// store: the damaged stream is quarantined and the run answered live,
+/// byte for byte.
+#[test]
+fn hostile_streams_replay_cleanly_within_one_block_per_core() {
+    use ramp::cache::stream::{StreamSource, BLOCK_BYTES, STREAM_KIND, STREAM_VERSION};
+    use ramp::cache::StreamReader;
+    use ramp::core::config::SystemConfig;
+    use ramp::core::runner::build_profile_sim;
+    use ramp::core::system::RunHooks;
+    use ramp::serve::spec::{RunAction, RunSpec};
+    use ramp::serve::store::{stream_ident, stream_key, RunStore};
+    use ramp::serve::wire::encode_run;
+    use ramp::sim::codec::{encode_framed, HEADER_LEN};
+    use std::io::Cursor;
+
+    let cfg = SystemConfig {
+        insts_per_core: 20_000,
+        ..SystemConfig::smoke_test()
+    };
+    let wl = ramp::trace::Workload::Homogeneous(Benchmark::Libquantum);
+    let spec = RunSpec {
+        workload: wl,
+        action: RunAction::Profile,
+    };
+    let scratch = |tag: String| {
+        let dir = std::env::temp_dir().join(format!("ramp-hostile-streams-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let pid = std::process::id();
+    let good_dir = scratch(format!("{pid}"));
+    let reference = encode_run(&spec.execute(&cfg, None));
+    spec.execute(&cfg, Some(&RunStore::open(&good_dir).unwrap()));
+    let skey = stream_key(&cfg, &wl);
+    let names: Vec<String> = (0..16).map(|c| format!("{skey}-c{c:02}.stream")).collect();
+    let streams: Vec<Vec<u8>> = names
+        .iter()
+        .map(|n| std::fs::read(good_dir.join(n)).expect("recorded stream"))
+        .collect();
+    let frame_limit = HEADER_LEN + BLOCK_BYTES + 8;
+    let case = std::sync::atomic::AtomicU64::new(0);
+
+    ramp::sim::check::check_n("hostile_streams_replay_cleanly", 24, |g| {
+        let core = g.usize_in(0, streams.len());
+        let good = &streams[core];
+        let ident = stream_ident(&skey, core);
+        // Block frames: (start, end) byte ranges.
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < good.len() {
+            let len = u64::from_le_bytes(good[at + 13..at + 21].try_into().unwrap()) as usize;
+            frames.push((at, at + HEADER_LEN + len + 8));
+            at += HEADER_LEN + len + 8;
+        }
+        let variant = g.u64_below(3);
+        let mut hostile = good.clone();
+        if variant == 0 {
+            mutate(g, &mut hostile);
+        } else {
+            let &(start, end) = g.pick(&frames);
+            let mut payload = good[start + HEADER_LEN..end - 8].to_vec();
+            if variant == 1 {
+                mutate(g, &mut payload);
+            } else {
+                let from = g.usize_in(12, (payload.len() - 5).max(13));
+                let to = (from + g.usize_in(1, 11)).min(payload.len() - 5).max(from);
+                payload[from..to].fill(0xff);
+            }
+            let framed = encode_framed(STREAM_KIND, STREAM_VERSION, &payload);
+            hostile.splice(start..end, framed);
+        }
+
+        let mut sim = build_profile_sim(&cfg, &wl);
+        let lines = sim.core_lines(core);
+        assert_allocs_within(frame_limit, "StreamReader", || {
+            if let Ok(mut r) = StreamReader::open(Cursor::new(&hostile[..]), ident, lines.clone()) {
+                while r.next_event().is_ok() {}
+            }
+        });
+
+        let mut opened = true;
+        for (c, bytes) in streams.iter().enumerate() {
+            let bytes = if c == core { &hostile } else { bytes };
+            let src: Box<dyn StreamSource> = Box::new(Cursor::new(bytes.clone()));
+            match StreamReader::open(src, stream_ident(&skey, c), sim.core_lines(c)) {
+                Ok(r) => sim.replay_core(c, r),
+                Err(_) => opened = false,
+            }
+        }
+        if opened {
+            if let Ok(run) = sim.try_run_with_hooks(RunHooks::default()) {
+                if variant == 0 {
+                    assert!(encode_run(&run) == reference, "damage changed a run");
+                }
+            }
+        }
+
+        if variant == 0 && g.bool() {
+            let n = case.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = scratch(format!("{pid}-{n}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            for (c, name) in names.iter().enumerate() {
+                let bytes = if c == core { &hostile } else { &streams[c] };
+                std::fs::write(dir.join(name), bytes).unwrap();
+            }
+            let run = spec.execute(&cfg, Some(&RunStore::open(&dir).unwrap()));
+            assert!(encode_run(&run) == reference, "fallback differs from live");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    });
+    let _ = std::fs::remove_dir_all(&good_dir);
+}
