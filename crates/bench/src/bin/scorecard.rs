@@ -2,15 +2,12 @@
 //!
 //! ```text
 //! scorecard run                      measure, print the JSON document
-//! scorecard update BENCH_0007.json   measure, rewrite the file keeping
-//!                                    its baseline.* section
-//! scorecard check BENCH_0007.json [--tol X]
+//! scorecard update BENCH_0028.json   measure, rewrite the file keeping
+//!                                    its baseline.probe.* section
+//! scorecard check BENCH_0028.json [--tol X]
 //!                                    measure, diff against the file;
 //!                                    exit 1 on regression/schema drift
 //! ```
-//!
-//! `RAMP_BENCH_FAST=1` switches to fast mode (fewer samples, smaller
-//! probe) for the CI smoke stage.
 
 use std::path::Path;
 use std::process::ExitCode;

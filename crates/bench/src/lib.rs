@@ -28,7 +28,6 @@
 //! deterministic `json` document.
 
 pub mod figures;
-pub mod microbench;
 pub mod scorecard;
 
 use std::collections::BTreeMap;

@@ -10,13 +10,13 @@
 //! RAMP_BLESS=1 cargo test -p ramp-bench --test golden_bench
 //! ```
 //!
-//! then re-bless the committed `BENCH_0007.json` with `scorecard update`
+//! then re-bless the committed `BENCH_0028.json` with `scorecard update`
 //! and bump [`scorecard::SCHEMA`] if the layout changed shape.
 //!
-//! The committed repo-root `BENCH_0007.json` is itself structurally
-//! checked: schema version, required metadata, the pinned kernel set and
-//! probe/baseline/speedup sections must all be present, so scorecards
-//! stay comparable across PRs.
+//! The committed repo-root `BENCH_0028.json` is itself structurally
+//! checked: schema version, required metadata, both probes with their
+//! frozen baselines and speedups, and no key of the retired kernel
+//! suite, so scorecards stay comparable across PRs.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -26,15 +26,11 @@ use ramp_serve::json::parse_flat;
 
 const GOLDEN_PATH: &str = "tests/golden/scorecard_example.json";
 
-/// The seven pinned kernels; `check` treats a name-set change as drift.
-const KERNELS: &[&str] = &[
-    "trace_gen",
-    "zipf_sample",
-    "cache_hierarchy",
-    "dram_channel",
-    "dram_mapping",
-    "pagemap_frame_line",
-    "store_append_replay_files",
+/// The probe anchors frozen at the first bless; `scorecard update` must
+/// carry them over byte for byte.
+const BASELINES: &[(&str, &str)] = &[
+    ("baseline.probe.all_experiments_cold_ms", "8035.067665"),
+    ("baseline.probe.all_experiments_warm_ms", "2299.054671"),
 ];
 
 fn golden_file() -> PathBuf {
@@ -42,7 +38,7 @@ fn golden_file() -> PathBuf {
 }
 
 fn committed_scorecard() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_0007.json")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_0028.json")
 }
 
 #[test]
@@ -63,7 +59,7 @@ fn example_render_matches_golden_snapshot() {
     assert_eq!(
         rendered, golden,
         "scorecard layout drifted from {GOLDEN_PATH}; if intentional, \
-         re-bless and update the committed BENCH_0007.json in the same PR"
+         re-bless and update the committed BENCH_0028.json in the same PR"
     );
 }
 
@@ -92,32 +88,31 @@ fn render_is_deterministic_and_preserves_baseline() {
 #[test]
 fn committed_scorecard_has_required_schema() {
     let fields = scorecard::parse_file(&committed_scorecard())
-        .expect("committed BENCH_0007.json parses as a flat JSON object");
+        .expect("committed BENCH_0028.json parses as a flat JSON object");
     assert_eq!(
         fields.get("schema").map(String::as_str),
         Some(SCHEMA),
         "committed scorecard schema version"
     );
+    assert_eq!(SCHEMA, "ramp-bench-v4");
     for key in REQUIRED_META {
         assert!(fields.contains_key(*key), "missing metadata {key}");
     }
     // Metadata values carry their context: threads is a count, profile
-    // one of the two cargo profiles, fast a bool.
+    // one of the two cargo profiles.
     assert!(fields["meta.threads"].parse::<u64>().is_ok());
     assert!(matches!(
         fields["meta.profile"].as_str(),
         "release" | "debug"
     ));
-    assert!(matches!(fields["meta.fast"].as_str(), "true" | "false"));
-    for kernel in KERNELS {
-        for suffix in ["median_ns", "mean_ns", "samples"] {
-            let key = format!("bench.{kernel}.{suffix}");
-            let v = fields.get(&key).unwrap_or_else(|| panic!("missing {key}"));
-            assert!(v.parse::<f64>().is_ok(), "{key} not numeric: {v}");
-        }
-        let base = format!("baseline.bench.{kernel}.median_ns");
-        assert!(fields.contains_key(&base), "missing {base}");
+    // No key of the retired kernel suite or fast mode.
+    for key in fields.keys() {
+        assert!(
+            !key.starts_with("bench.") && !key.starts_with("baseline.bench."),
+            "retired kernel key {key}"
+        );
     }
+    assert!(!fields.contains_key("meta.fast"), "retired key meta.fast");
     for probe in ["all_experiments_cold_ms", "all_experiments_warm_ms"] {
         for section in ["probe", "baseline.probe"] {
             let key = format!("{section}.{probe}");
@@ -125,6 +120,15 @@ fn committed_scorecard_has_required_schema() {
             assert!(v.parse::<f64>().unwrap() > 0.0, "{key} must be positive");
         }
         let speedup = format!("speedup.{}", probe.trim_end_matches("_ms"));
-        assert!(fields.contains_key(&speedup), "missing {speedup}");
+        let v = fields
+            .get(&speedup)
+            .unwrap_or_else(|| panic!("missing {speedup}"));
+        assert!(
+            v.parse::<f64>().unwrap() > 0.0,
+            "{speedup} must be positive"
+        );
+    }
+    for (key, anchor) in BASELINES {
+        assert_eq!(fields.get(*key).map(String::as_str), Some(*anchor), "{key}");
     }
 }

@@ -24,7 +24,11 @@ pub mod full_scale {
 /// Complete configuration of one simulated system.
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
-    /// Number of cores (Table 1: 16).
+    /// Number of cores (Table 1: 16). Not honoured by the simulator:
+    /// `SystemSim` runs the workload's 16 generator cores whatever this
+    /// says. Besides `validate`'s range check the field only enters
+    /// [`SystemConfig::canonical_bytes`], so it splits store keys and
+    /// nothing else.
     pub cores: usize,
     /// Issue width per core (Table 1: 4-wide).
     pub issue_width: u32,
@@ -76,7 +80,9 @@ impl SystemConfig {
         }
     }
 
-    /// A fast variant for unit tests: fewer cores and instructions.
+    /// A fast variant for unit tests: fewer instructions, a smaller HBM
+    /// and shorter migration intervals. Its `cores: 4` changes only store
+    /// keys; the simulator still runs 16 cores (see [`SystemConfig::cores`]).
     pub fn smoke_test() -> Self {
         SystemConfig {
             cores: 4,

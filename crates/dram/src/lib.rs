@@ -21,7 +21,7 @@ pub mod request;
 pub mod timing;
 
 pub use controller::{ChannelController, ChannelStats};
-pub use mapping::{AddressMapping, DramCoord, Interleave};
+pub use mapping::{AddressMapping, DramCoord};
 pub use memory::{MemoryKind, MemorySystem};
 pub use request::{Completion, MemRequest, QueueFull};
 pub use timing::{Organization, TimingParams};

@@ -23,39 +23,24 @@ pub struct DramCoord {
     pub col: u64,
 }
 
-/// Interleaving policy: which address bits select the channel and bank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Interleave {
-    /// Channel from the lowest line bits (maximum stream bandwidth) —
-    /// the default used by all experiments.
-    #[default]
-    ChannelFirst,
-    /// Bank from the lowest line bits, channel above the row: consecutive
-    /// lines share a channel. Kept as an ablation (`cargo bench`
-    /// `dram/mapping_*`) to show why channel-first wins for streams.
-    BankFirst,
-}
-
-/// Line-interleaved address mapping for one memory organization.
+/// Channel-first, line-interleaved address mapping for one memory
+/// organization: the channel comes from the lowest line bits (maximum
+/// stream bandwidth), then the column, the bank and the row.
 #[derive(Clone, Copy, Debug)]
 pub struct AddressMapping {
     org: Organization,
-    interleave: Interleave,
     /// `log2(channels, banks*ranks, lines_per_row)` when every dimension
     /// is a power of two (true for all shipped organizations), letting
     /// `decode` — on the per-request hot path, called millions of times a
     /// run — use shifts and masks instead of five hardware divisions.
+    /// The division path stays for other organizations and as the
+    /// reference the shift path is tested against.
     shifts: Option<(u32, u32, u32)>,
 }
 
 impl AddressMapping {
-    /// Creates a channel-first mapping for `org`.
+    /// Creates the mapping for `org`.
     pub fn new(org: Organization) -> Self {
-        Self::with_interleave(org, Interleave::ChannelFirst)
-    }
-
-    /// Creates a mapping with an explicit interleaving policy.
-    pub fn with_interleave(org: Organization, interleave: Interleave) -> Self {
         let channels = org.channels as u64;
         let banks = (org.banks * org.ranks) as u64;
         let lpr = org.lines_per_row;
@@ -69,11 +54,7 @@ impl AddressMapping {
                 lpr.trailing_zeros(),
             )
         });
-        AddressMapping {
-            org,
-            interleave,
-            shifts,
-        }
+        AddressMapping { org, shifts }
     }
 
     /// The organization this mapping decodes for.
@@ -87,68 +68,23 @@ impl AddressMapping {
     /// memory (the HMA layer remaps pages to per-memory frames).
     pub fn decode(&self, line: LineAddr) -> DramCoord {
         if let Some((ch_s, ba_s, lpr_s)) = self.shifts {
-            return match self.interleave {
-                Interleave::ChannelFirst => {
-                    let channel = (line.0 & ((1 << ch_s) - 1)) as usize;
-                    let in_channel = line.0 >> ch_s;
-                    let col = in_channel & ((1 << lpr_s) - 1);
-                    let bank = ((in_channel >> lpr_s) & ((1 << ba_s) - 1)) as usize;
-                    let row = in_channel >> (lpr_s + ba_s);
-                    DramCoord {
-                        channel,
-                        bank,
-                        row,
-                        col,
-                    }
-                }
-                Interleave::BankFirst => {
-                    let col = line.0 & ((1 << lpr_s) - 1);
-                    let rest = line.0 >> lpr_s;
-                    let bank = (rest & ((1 << ba_s) - 1)) as usize;
-                    let rest = rest >> ba_s;
-                    let channel = (rest & ((1 << ch_s) - 1)) as usize;
-                    let row = rest >> ch_s;
-                    DramCoord {
-                        channel,
-                        bank,
-                        row,
-                        col,
-                    }
-                }
+            let in_channel = line.0 >> ch_s;
+            return DramCoord {
+                channel: (line.0 & ((1 << ch_s) - 1)) as usize,
+                bank: ((in_channel >> lpr_s) & ((1 << ba_s) - 1)) as usize,
+                row: in_channel >> (lpr_s + ba_s),
+                col: in_channel & ((1 << lpr_s) - 1),
             };
         }
         let channels = self.org.channels as u64;
         let banks = (self.org.banks * self.org.ranks) as u64;
         let lpr = self.org.lines_per_row;
-
-        match self.interleave {
-            Interleave::ChannelFirst => {
-                let channel = (line.0 % channels) as usize;
-                let in_channel = line.0 / channels;
-                let col = in_channel % lpr;
-                let bank = ((in_channel / lpr) % banks) as usize;
-                let row = in_channel / (lpr * banks);
-                DramCoord {
-                    channel,
-                    bank,
-                    row,
-                    col,
-                }
-            }
-            Interleave::BankFirst => {
-                let col = line.0 % lpr;
-                let rest = line.0 / lpr;
-                let bank = (rest % banks) as usize;
-                let rest = rest / banks;
-                let channel = (rest % channels) as usize;
-                let row = rest / channels;
-                DramCoord {
-                    channel,
-                    bank,
-                    row,
-                    col,
-                }
-            }
+        let in_channel = line.0 / channels;
+        DramCoord {
+            channel: (line.0 % channels) as usize,
+            bank: ((in_channel / lpr) % banks) as usize,
+            row: in_channel / (lpr * banks),
+            col: in_channel % lpr,
         }
     }
 }
@@ -199,30 +135,14 @@ mod tests {
     }
 
     #[test]
-    fn bank_first_is_injective_and_in_bounds() {
-        let org = Organization::hbm();
-        let m = AddressMapping::with_interleave(org, Interleave::BankFirst);
-        let mut seen = std::collections::HashSet::new();
-        for l in 0..50_000u64 {
-            let c = m.decode(LineAddr(l));
-            assert!(c.channel < org.channels && c.bank < org.banks && c.col < org.lines_per_row);
-            assert!(seen.insert((c.channel, c.bank, c.row, c.col)));
-        }
-        // Consecutive lines share a channel under bank-first.
-        assert_eq!(m.decode(LineAddr(0)).channel, m.decode(LineAddr(1)).channel);
-    }
-
-    #[test]
     fn shift_decode_matches_division_decode() {
-        for interleave in [Interleave::ChannelFirst, Interleave::BankFirst] {
-            for org in [Organization::hbm(), Organization::ddr3()] {
-                let fast = AddressMapping::with_interleave(org, interleave);
-                assert!(fast.shifts.is_some(), "shipped orgs are power-of-two");
-                let mut slow = fast;
-                slow.shifts = None;
-                for l in (0..2_000_000u64).step_by(611) {
-                    assert_eq!(fast.decode(LineAddr(l)), slow.decode(LineAddr(l)));
-                }
+        for org in [Organization::hbm(), Organization::ddr3()] {
+            let fast = AddressMapping::new(org);
+            assert!(fast.shifts.is_some(), "shipped orgs are power-of-two");
+            let mut slow = fast;
+            slow.shifts = None;
+            for l in (0..2_000_000u64).step_by(611) {
+                assert_eq!(fast.decode(LineAddr(l)), slow.decode(LineAddr(l)));
             }
         }
     }

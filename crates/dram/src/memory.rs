@@ -56,19 +56,9 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Builds a memory from explicit timing and organization.
     pub fn new(kind: MemoryKind, timing: TimingParams, org: Organization) -> Self {
-        Self::with_mapping(kind, timing, org, crate::mapping::Interleave::ChannelFirst)
-    }
-
-    /// Builds a memory with an explicit interleaving policy (ablations).
-    pub fn with_mapping(
-        kind: MemoryKind,
-        timing: TimingParams,
-        org: Organization,
-        interleave: crate::mapping::Interleave,
-    ) -> Self {
         MemorySystem {
             kind,
-            mapping: AddressMapping::with_interleave(org, interleave),
+            mapping: AddressMapping::new(org),
             channels: (0..org.channels)
                 .map(|_| ChannelController::new(timing, org.banks * org.ranks))
                 .collect(),
