@@ -84,7 +84,7 @@ impl MeaTracker {
 
     /// Serializes the tracker; entry order is preserved verbatim because
     /// the Misra-Gries update sequence depends on it.
-    pub(crate) fn save_state(&self, w: &mut ramp_sim::codec::ByteWriter) {
+    pub fn save_state(&self, w: &mut ramp_sim::codec::ByteWriter) {
         w.u64(self.accesses);
         w.u32(self.entries.len() as u32);
         for &(page, count) in &self.entries {
@@ -95,7 +95,7 @@ impl MeaTracker {
 
     /// Restores the state captured by [`MeaTracker::save_state`] into a
     /// tracker of identical capacity.
-    pub(crate) fn restore_state(
+    pub fn restore_state(
         &mut self,
         r: &mut ramp_sim::codec::ByteReader,
     ) -> Result<(), ramp_sim::codec::CodecError> {
