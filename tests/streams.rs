@@ -373,6 +373,57 @@ fn resume_from_a_replay_checkpoint_is_byte_identical() {
     assert!(encode_run(&sim.run()) == want, "resumed live run differs");
 }
 
+/// A Cross-Counter run resumes byte-identical from an early and a middle
+/// checkpoint of its replay. It starts from its migration placement, so
+/// HBM is full and every MEA interval that brings a page in evicts one.
+/// Its 7,000-cycle MEA interval does not divide the 60,000-cycle epoch,
+/// so each checkpoint (cut at an epoch) holds live MEA entries. The
+/// pending high-risk list is empty at every cut of a real run (the FC
+/// interval evicts the pages it flags and clears it); the differential
+/// interval test restores non-empty ones.
+#[test]
+fn cross_counter_resumes_byte_identical_from_a_replay_checkpoint() {
+    let cfg = SystemConfig {
+        mea_interval_cycles: 7_000,
+        ..SystemConfig::smoke_test()
+    };
+    let wl = Workload::Homogeneous(Benchmark::Mcf);
+    let profile = runner::profile_workload(&cfg, &wl);
+    let sim = || {
+        build(
+            &cfg,
+            &wl,
+            RunAction::Migration(MigrationScheme::CrossCounter),
+            &profile,
+        )
+    };
+    let mut live = sim();
+    let mems = record(&mut live);
+    let (reference, _) = checkpointed(live);
+    let streams = bytes(&mems);
+    let want = encode_run(&reference);
+    let migrations = reference
+        .telemetry
+        .get("migration", "migrations")
+        .and_then(|v| v.as_counter());
+    assert!(migrations > Some(0), "no page moved: {migrations:?}");
+
+    let mut replayed = sim();
+    replay(&mut replayed, &streams);
+    let (replayed, blobs) = checkpointed(replayed);
+    assert!(encode_run(&replayed) == want, "replayed run differs");
+    assert!(blobs.len() > 2, "expected several checkpoints");
+    for (at, blob) in [(1, &blobs[1]), (blobs.len() / 2, &blobs[blobs.len() / 2])] {
+        let mut resumed = sim();
+        replay(&mut resumed, &streams);
+        resumed.restore_state(blob).unwrap();
+        assert!(
+            encode_run(&resumed.run()) == want,
+            "run resumed from checkpoint {at} differs"
+        );
+    }
+}
+
 #[test]
 fn streams_depend_only_on_the_fields_of_their_key() {
     let base = SystemConfig {
