@@ -807,14 +807,13 @@ impl SystemSim {
             if !all_done && self.engine.is_some() {
                 if chunk_end >= self.next_mea {
                     self.next_mea += self.cfg.mea_interval_cycles;
-                    let hbm_pages = self.pagemap.hbm_pages();
                     let free = self.pagemap.hbm_free();
                     let moves = self
                         .engine
                         .as_mut()
                         .expect("engine present")
                         .on_mea_interval(
-                            &hbm_pages,
+                            self.pagemap.hbm_pages(),
                             free,
                             &self.pinned,
                             self.cfg.mea_max_pages_per_interval,
@@ -823,14 +822,13 @@ impl SystemSim {
                 }
                 if chunk_end >= self.next_fc {
                     self.next_fc += self.cfg.fc_interval_cycles;
-                    let hbm_pages = self.pagemap.hbm_pages();
                     let free = self.pagemap.hbm_free();
                     let max = self.cfg.max_swaps_per_interval;
                     let moves = self
                         .engine
                         .as_mut()
                         .expect("engine present")
-                        .on_fc_interval(&hbm_pages, free, &self.pinned, max);
+                        .on_fc_interval(self.pagemap.hbm_pages(), free, &self.pinned, max);
                     self.apply_moves(moves);
                 }
             }
